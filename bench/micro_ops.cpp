@@ -97,13 +97,14 @@ BENCHMARK(BM_FingerprintMatchCached);
 
 void BM_ParticleFilterStep(benchmark::State& state) {
   filter::ParticleFilter pf(300, stats::Rng(3));
+  filter::KernelScratch scratch;
   pf.init({10.0, 5.0}, 0.0, 1.0, 0.1, 0.05);
   for (auto _ : state) {
-    pf.predict(0.7, 0.01, 0.1, 0.03);
+    pf.predict(0.7, 0.01, 0.1, 0.03, scratch);
     pf.reweight([](const filter::Particle& p) {
       return p.pos.x > 0.0 ? 1.0 : 0.1;
     });
-    pf.resample();
+    pf.resample(scratch);
     benchmark::DoNotOptimize(pf.mean());
   }
 }

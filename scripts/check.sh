@@ -9,6 +9,9 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR="${BUILD_DIR:-build}"
 JOBS="${JOBS:-$(nproc)}"
+# The epoch-arena contract tests (tests/test_perf_contracts.cc), rerun by
+# name in the sanitizer tiers below.
+ARENA_TESTS='^perf\.PerfContracts\.(InterleavedSessions|EpochArena|UpdateFastLeaves)'
 
 cmake -B "$BUILD_DIR" -S . ${CMAKE_ARGS:-}
 cmake --build "$BUILD_DIR" -j "$JOBS"
@@ -62,8 +65,9 @@ if [[ "${TSAN:-1}" != "0" ]]; then
   # clean under TSan too.
   ctest --test-dir "$TSAN_DIR" -L '^obs$' --output-on-failure -j "$JOBS"
   # Fast-path gate: the differential seed sweeps drive the service at
-  # workers=4, so TSan checks that per-session epoch scratch (including
-  # the shared scan memos) really is confined to its session strand.
+  # workers=4, so TSan checks that each worker thread's epoch arena (scan
+  # memos and kernel buffers included) is touched by that thread alone,
+  # and that session state stays confined to its session strand.
   ctest --test-dir "$TSAN_DIR" -R '^diff\.' --output-on-failure -j "$JOBS"
   # Property-test concurrency gate: the generated-world sweep spawns
   # workers>0 and fleet passes for a quarter of its cases -- TSan watches
@@ -80,6 +84,11 @@ if [[ "${TSAN:-1}" != "0" ]]; then
   cmake --build "$TSAN_DIR" -j "$JOBS" --target test_perf_contracts
   ctest --test-dir "$TSAN_DIR" -R '^perf\..*Batch' --output-on-failure \
     -j "$JOBS"
+  # Epoch-arena gate: the arena contracts ride along with the workers=4
+  # sweeps above -- nine sessions (one with a kOther scheme) round-robin
+  # through one arena bit-identical to their solo runs, memo slots
+  # recycled across deployments, no epoch context left behind.
+  ctest --test-dir "$TSAN_DIR" -R "$ARENA_TESTS" --output-on-failure -j "$JOBS"
 fi
 
 # Tier-2 gate B: the fault-injection path (svc + chaos labels: the
@@ -98,6 +107,13 @@ if [[ "${ASAN:-1}" != "0" ]]; then
   # under ASan/UBSan -- the zero-allocation arena reuses buffers across
   # epochs and sessions, exactly where stale-pointer bugs would hide.
   ctest --test-dir "$ASAN_DIR" -R '^diff\.' --output-on-failure -j "$JOBS"
+  # Arena-lifetime gate: a worker's epoch arena dies with its thread while
+  # the sessions it served live on. The contract tests free an arena after
+  # one epoch and call a scheme's update_into directly -- a use-after-free
+  # here if update_fast left its epoch context installed -- and run nine
+  # sessions through one arena, where a stale read would hide.
+  cmake --build "$ASAN_DIR" -j "$JOBS" --target test_perf_contracts
+  ctest --test-dir "$ASAN_DIR" -R "$ARENA_TESTS" --output-on-failure -j "$JOBS"
   # Crash-recovery gate: the checkpoint suite (snapshot codec round
   # trips, kProcessCrash chaos, truncated/bit-flipped snapshot fuzz)
   # must be clean under ASan+UBSan -- restore() is the server's hostile

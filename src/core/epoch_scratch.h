@@ -1,22 +1,24 @@
-// Per-session scratch arena for the zero-allocation epoch fast path.
+// Epoch arena for the zero-allocation epoch fast path.
 //
 // Uniloc::update_fast threads one EpochScratch through every stage of the
-// epoch pipeline (scheme outputs, error-model features, BMA weights) so
-// that, after a warmup epoch has grown every buffer to its steady
-// capacity, an epoch performs no heap allocation at all
-// (tests/test_perf_contracts.cc). Lifetime rules are documented in
-// DESIGN.md section 11; the short version:
+// epoch pipeline (scheme outputs, scheme and particle-filter kernels,
+// error-model features, BMA weights) so that, after a warmup epoch has
+// grown every buffer to its steady capacity, an epoch performs no heap
+// allocation at all (tests/test_perf_contracts.cc). Nothing in it carries
+// from one epoch to the next, so one arena serves any number of Uniloc
+// instances in turn. Lifetime rules are documented in DESIGN.md section
+// 11; the short version:
 //
-//   * One EpochScratch per session / walk. It must outlive every
-//     EpochDecision reference returned by update_fast (the decision is
-//     stored inside the scratch and overwritten by the next epoch).
-//   * Never share one scratch between concurrently-updating Uniloc
-//     instances: the ScanScratch members inside feature_scratch carry
-//     mutable per-query state (and the cache hit/miss counters are plain
-//     integers, not atomics). In src/svc each Session owns its scratch
-//     and the session strand serializes access.
-//   * Reuse across walks is fine (and is what the service does); reset()
-//     is not required -- every field is (re)written each epoch.
+//   * In src/svc each worker thread owns one EpochScratch and every
+//     session it serves reuses it; a walk (core::run_walk) owns its own.
+//     The decision update_fast returns is stored inside the scratch and
+//     stays valid only until the next update_fast on that scratch -- on
+//     that thread, whichever session it serves.
+//   * Never use one scratch from two threads at once: the ScanScratch
+//     members carry mutable per-query state (and the cache hit/miss
+//     counters are plain integers, not atomics).
+//   * reset() is not required between epochs, walks or sessions -- every
+//     field is (re)written each epoch.
 #pragma once
 
 #include <cstddef>
@@ -30,7 +32,8 @@ namespace uniloc::core {
 
 struct EpochScratch {
   /// The decision under construction; update_fast returns a reference to
-  /// this field. Valid until the next update_fast call on this scratch.
+  /// this field. Valid until the next update_fast call on this scratch,
+  /// whichever Uniloc makes it.
   EpochDecision decision;
 
   // Stage buffers (capacities persist across epochs).
@@ -41,8 +44,9 @@ struct EpochScratch {
 
   /// Shared per-epoch state: one candidate evaluation per (epoch,
   /// database), served to every scheme and feature that queries the same
-  /// scan (schemes/epoch_context.h). update_fast installs it into the
-  /// schemes each epoch, so the same no-sharing rule as the rest of the
+  /// scan, and the schemes' kernel buffers (schemes/epoch_context.h).
+  /// update_fast installs it into the schemes for the epoch and detaches
+  /// it afterwards, so the same no-sharing rule as the rest of the
   /// scratch applies.
   schemes::EpochContext scheme_ctx;
 

@@ -54,9 +54,11 @@ std::vector<double> extract_features(schemes::SchemeFamily family,
                                      const schemes::SchemeOutput& output,
                                      const FeatureContext& ctx);
 
-/// Reusable buffers for extract_features_into. One per session: the
-/// ScanScratch members hold the likelihood-cache working state for the
-/// WiFi and cellular databases respectively (DESIGN.md section 11).
+/// Reusable buffers for extract_features_into, one per epoch arena
+/// (core::EpochScratch): the ScanScratch members hold the likelihood-cache
+/// working state for the WiFi and cellular databases respectively, and
+/// survive a switch to another deployment's databases (DESIGN.md
+/// section 11).
 struct FeatureScratch {
   schemes::ScanScratch wifi;
   schemes::ScanScratch cell;

@@ -344,6 +344,11 @@ const EpochDecision& Uniloc::update_fast(const sim::SensorFrame& frame,
     }
   }
   gps_enable_ = d.gps_enable_next;
+
+  // 9. Detach the context: the scratch may be freed (a worker thread's
+  //    arena dies with the thread) while this Uniloc lives on, and a
+  //    later direct update_into must not reach into it.
+  for (Entry& e : entries_) e.scheme->set_epoch_context(nullptr);
   return d;
 }
 

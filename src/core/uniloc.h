@@ -104,7 +104,9 @@ class Uniloc {
   /// sequence (tests/test_differential.cc); unavailable scheme outputs may
   /// carry stale posterior/observable payloads, which consumers never read
   /// (they gate on `available`; DESIGN.md section 11). The reference is
-  /// valid until the next update_fast call on the same scratch.
+  /// valid until the next update_fast call on the same scratch, by this
+  /// or any other Uniloc. The schemes see the scratch's epoch context
+  /// only during the call.
   const EpochDecision& update_fast(const sim::SensorFrame& frame,
                                    EpochScratch& scratch);
 

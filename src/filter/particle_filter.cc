@@ -1,5 +1,6 @@
 #include "filter/particle_filter.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <numbers>
@@ -23,8 +24,6 @@ ParticleFilter::ParticleFilter(std::size_t num_particles, stats::Rng rng)
       weight_(num_particles, 1.0),
       rng_(rng) {
   assert(num_particles > 0);
-  pick_.reserve(num_particles);
-  gather_.reserve(num_particles);
 }
 
 void ParticleFilter::reseed(std::uint64_t seed) { rng_ = stats::Rng(seed); }
@@ -57,7 +56,8 @@ void ParticleFilter::attach_metrics(obs::MetricsRegistry* registry,
 }
 
 void ParticleFilter::predict(double step_len, double dheading,
-                             double step_len_sd, double heading_sd) {
+                             double step_len_sd, double heading_sd,
+                             KernelScratch& scratch) {
   obs::ScopedTimer timer(predict_us_);
   const std::size_t n = px_.size();
 #if !defined(UNILOC_NO_SIMD)
@@ -72,21 +72,21 @@ void ParticleFilter::predict(double step_len, double dheading,
     // not reproduce across standard libraries. det_normal_pair is a pure
     // elementwise function of the staged words -- the scalar fallback
     // below computes the identical expressions in the identical order.
-    noise_h_.resize(n);
-    noise_s_.resize(n);
-    trig_sin_.resize(n);
-    trig_cos_.resize(n);
-    raw_a_.resize(n);
-    raw_b_.resize(n);
+    scratch.noise_h.resize(n);
+    scratch.noise_s.resize(n);
+    scratch.trig_sin.resize(n);
+    scratch.trig_cos.resize(n);
+    scratch.raw_a.resize(n);
+    scratch.raw_b.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      raw_a_[i] = rng_.engine()();
-      raw_b_[i] = rng_.engine()();
+      scratch.raw_a[i] = rng_.engine()();
+      scratch.raw_b[i] = rng_.engine()();
     }
     {
-      const std::uint64_t* ra = raw_a_.data();
-      const std::uint64_t* rb = raw_b_.data();
-      double* nh = noise_h_.data();
-      double* ns = noise_s_.data();
+      const std::uint64_t* ra = scratch.raw_a.data();
+      const std::uint64_t* rb = scratch.raw_b.data();
+      double* nh = scratch.noise_h.data();
+      double* ns = scratch.noise_s.data();
       UNILOC_PRAGMA_SIMD
       for (std::size_t i = 0; i < n; ++i) {
         double z0, z1;
@@ -97,11 +97,12 @@ void ParticleFilter::predict(double step_len, double dheading,
     }
     // wrap_angle is fmod-based (branchy); keep it scalar.
     for (std::size_t i = 0; i < n; ++i) {
-      heading_[i] = geo::wrap_angle(heading_[i] + dheading + noise_h_[i]);
+      heading_[i] =
+          geo::wrap_angle(heading_[i] + dheading + scratch.noise_h[i]);
     }
     double* h = heading_.data();
-    double* ts = trig_sin_.data();
-    double* tc = trig_cos_.data();
+    double* ts = scratch.trig_sin.data();
+    double* tc = scratch.trig_cos.data();
     UNILOC_PRAGMA_SIMD
     for (std::size_t i = 0; i < n; ++i) {
       stats::det_sincos(h[i], ts[i], tc[i]);
@@ -109,7 +110,7 @@ void ParticleFilter::predict(double step_len, double dheading,
     double* x = px_.data();
     double* y = py_.data();
     const double* sc = scale_.data();
-    const double* ns = noise_s_.data();
+    const double* ns = scratch.noise_s.data();
     UNILOC_PRAGMA_SIMD
     for (std::size_t i = 0; i < n; ++i) {
       const double len = std::max(0.0, step_len * sc[i] + ns[i]);
@@ -119,6 +120,7 @@ void ParticleFilter::predict(double step_len, double dheading,
     return;
   }
 #endif
+  (void)scratch;  // the scalar path stages nothing
   for (std::size_t i = 0; i < n; ++i) {
     // Same two engine words and the same det_normal_pair expressions as
     // the staged vector path above -- the one scalar/vector contract the
@@ -173,7 +175,8 @@ double ParticleFilter::effective_sample_size() const {
   return sum2 > 0.0 ? 1.0 / sum2 : 0.0;
 }
 
-void ParticleFilter::resample(double ess_threshold_fraction) {
+void ParticleFilter::resample(KernelScratch& scratch,
+                              double ess_threshold_fraction) {
   obs::ScopedTimer timer(resample_us_);
   normalize_weights();
   const std::size_t count = px_.size();
@@ -182,9 +185,11 @@ void ParticleFilter::resample(double ess_threshold_fraction) {
 
   // Systematic resampling: one uniform draw, then N evenly spaced probes
   // through the cumulative weights. Selection indices are computed first
-  // (pick_), then each SoA array is gathered through one reusable scratch
-  // buffer -- no per-resample vector<Particle> churn.
-  pick_.resize(count);
+  // (scratch.pick), then each SoA array is gathered through the staging
+  // buffer and copied back. Copying rather than swapping keeps every
+  // buffer with its owner: the scratch serves other filters next.
+  std::vector<std::uint32_t>& pick = scratch.pick;
+  pick.resize(count);
   const double step = 1.0 / n;
   double u = rng_.uniform(0.0, step);
   double cum = weight_[0];
@@ -194,14 +199,15 @@ void ParticleFilter::resample(double ess_threshold_fraction) {
       ++i;
       cum += weight_[i];
     }
-    pick_[k] = static_cast<std::uint32_t>(i);
+    pick[k] = static_cast<std::uint32_t>(i);
     u += step;
   }
 
-  gather_.resize(count);
-  const auto gather = [this, count](std::vector<double>& arr) {
-    for (std::size_t k = 0; k < count; ++k) gather_[k] = arr[pick_[k]];
-    arr.swap(gather_);
+  std::vector<double>& staged = scratch.gather;
+  staged.resize(count);
+  const auto gather = [&pick, &staged, count](std::vector<double>& arr) {
+    for (std::size_t k = 0; k < count; ++k) staged[k] = arr[pick[k]];
+    std::copy(staged.begin(), staged.end(), arr.begin());
   };
   gather(px_);
   gather(py_);
@@ -416,14 +422,12 @@ bool ParticleFilter::restore_from_quantized(offload::ByteReader& r) {
   return true;
 }
 
-std::size_t ParticleFilter::storage_bytes() const {
-  return (px_.capacity() + py_.capacity() + heading_.capacity() +
-          scale_.capacity() + weight_.capacity() + gather_.capacity() +
-          noise_h_.capacity() + noise_s_.capacity() + trig_sin_.capacity() +
-          trig_cos_.capacity()) *
+std::size_t KernelScratch::bytes() const {
+  return (gather.capacity() + noise_h.capacity() + noise_s.capacity() +
+          trig_sin.capacity() + trig_cos.capacity()) *
              sizeof(double) +
-         (raw_a_.capacity() + raw_b_.capacity()) * sizeof(std::uint64_t) +
-         pick_.capacity() * sizeof(std::uint32_t);
+         (raw_a.capacity() + raw_b.capacity()) * sizeof(std::uint64_t) +
+         pick.capacity() * sizeof(std::uint32_t);
 }
 
 }  // namespace uniloc::filter

@@ -10,9 +10,10 @@
 // weights live in five contiguous double arrays, so the per-epoch sweeps
 // (predict, reweight, moments, resample) stream through cache lines
 // instead of striding over 40-byte Particle structs. Systematic
-// resampling is O(N) and gathers through a single reusable scratch
-// buffer -- the filter performs no steady-state allocations after
-// construction.
+// resampling is O(N). The filter holds only its state -- the five arrays
+// and the engine; predict() and resample() stage their working memory in
+// a caller-owned KernelScratch, so one scratch serves every filter a
+// thread steps and a warm cycle performs no allocation.
 //
 // The RNG engine is owned by the filter (seeded at construction or via
 // reseed()); call sites never construct their own engines, so the random
@@ -51,6 +52,26 @@ struct Particle {
   double weight{1.0};
 };
 
+/// Working memory of predict() and resample(). Every buffer is resized
+/// and rewritten before it is read, so nothing carries from one call to
+/// the next and one scratch serves any number of filters in turn: the
+/// fast epoch pipeline keeps one per worker thread in its epoch arena
+/// (core::EpochScratch). Once the buffers have grown to the largest
+/// particle count they serve, a cycle allocates nothing.
+struct KernelScratch {
+  std::vector<std::uint32_t> pick;  ///< Resampling ancestor indices.
+  std::vector<double> gather;       ///< Resampling gather staging.
+  // predict() SIMD staging: noise draws are pulled out of the loop (same
+  // engine order) so the trig + position update vectorizes.
+  std::vector<double> noise_h, noise_s, trig_sin, trig_cos;
+  /// Raw engine words staged by predict()'s vector path; the Box-Muller
+  /// transform consumes them elementwise (stats::det_normal_pair).
+  std::vector<std::uint64_t> raw_a, raw_b;
+
+  /// Heap capacity held (perf.scratch_bytes accounting).
+  std::size_t bytes() const;
+};
+
 class ParticleFilter {
  public:
   /// Preferred: the filter owns its engine, seeded here.
@@ -61,7 +82,7 @@ class ParticleFilter {
 
   /// Restart the random stream as if freshly constructed with `seed`.
   /// Resetting a scheme reseeds instead of rebuilding the filter, so
-  /// scratch capacity and attached instruments survive the reset.
+  /// array capacity and attached instruments survive the reset.
   void reseed(std::uint64_t seed);
 
   /// Initialize all particles at `pos` with heading jitter `heading_sd`,
@@ -72,7 +93,7 @@ class ParticleFilter {
   /// Propagate every particle by one step of nominal length `step_len`
   /// turned by `dheading` since the last update, with process noise.
   void predict(double step_len, double dheading, double step_len_sd,
-               double heading_sd);
+               double heading_sd, KernelScratch& scratch);
 
   /// Multiply each particle's weight by `likelihood(particle)`.
   /// Weights are renormalized; if all likelihoods are zero the particle
@@ -117,7 +138,7 @@ class ParticleFilter {
 
   /// Systematic resampling. Runs only when the effective sample size
   /// drops below `ess_threshold_fraction * N` (pass 1.0 to always resample).
-  void resample(double ess_threshold_fraction = 0.5);
+  void resample(KernelScratch& scratch, double ess_threshold_fraction = 0.5);
 
   /// Weighted mean position of the cloud.
   geo::Vec2 mean() const;
@@ -148,9 +169,6 @@ class ParticleFilter {
   Particle particle(std::size_t i) const {
     return {{px_[i], py_[i]}, heading_[i], scale_[i], weight_[i]};
   }
-
-  /// Bytes of reusable SoA + scratch storage (perf.scratch accounting).
-  std::size_t storage_bytes() const;
 
   /// Snapshot codec: particle count, the five SoA arrays, and the RNG
   /// engine state. Because every draw order is pinned (see the contract
@@ -191,14 +209,6 @@ class ParticleFilter {
 
   // Structure-of-arrays particle storage, index-aligned.
   std::vector<double> px_, py_, heading_, scale_, weight_;
-  std::vector<std::uint32_t> pick_;    ///< Resampling ancestor indices.
-  std::vector<double> gather_;         ///< Resampling gather scratch.
-  // predict() SIMD staging: noise draws are pulled out of the loop (same
-  // engine order) so the trig + position update vectorizes.
-  std::vector<double> noise_h_, noise_s_, trig_sin_, trig_cos_;
-  /// Raw engine words staged by predict()'s vector path; the Box-Muller
-  /// transform consumes them elementwise (stats::det_normal_pair).
-  std::vector<std::uint64_t> raw_a_, raw_b_;
   stats::Rng rng_;
   obs::Histogram* predict_us_{nullptr};
   obs::Histogram* resample_us_{nullptr};

@@ -7,7 +7,8 @@
 // one candidate evaluation per (epoch, database) -- see
 // FingerprintDatabase::k_nearest_memo for the bit-exactness argument.
 //
-// One EpochContext lives inside each session's core::EpochScratch and is
+// One EpochContext lives inside each core::EpochScratch -- in src/svc,
+// the epoch arena of the worker thread serving the epoch -- and is
 // threaded to the schemes by Uniloc::update_fast through
 // LocalizationScheme::set_epoch_context. The reference pipeline never
 // installs a context, so it keeps recomputing from scratch -- the
@@ -16,10 +17,34 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
+#include "filter/particle_filter.h"
+#include "geo/vec2.h"
 #include "schemes/fingerprint_db.h"
 
 namespace uniloc::schemes {
+
+/// Working buffers of the schemes' update_into kernels. Each buffer is
+/// rewritten before it is read within one update_into call, so the
+/// schemes of an epoch -- and every session an arena serves -- take turns
+/// with one set. update() builds a private set per call instead: the
+/// reference pipeline never reads the context.
+struct SchemeScratch {
+  filter::KernelScratch pf;       ///< Particle-filter predict/resample.
+  std::vector<geo::Vec2> before;  ///< PDR pre-step positions (wall test).
+  std::vector<Match> matches;     ///< Fingerprint top-k, fusion candidates.
+  std::vector<double> top3;       ///< Fingerprint top-3 distances.
+  std::vector<double> rssi_w;     ///< Fusion candidate RSSI weights.
+  std::vector<double> like;       ///< Fusion per-particle likelihoods.
+
+  std::size_t bytes() const {
+    return pf.bytes() + before.capacity() * sizeof(geo::Vec2) +
+           matches.capacity() * sizeof(Match) +
+           (top3.capacity() + rssi_w.capacity() + like.capacity()) *
+               sizeof(double);
+  }
+};
 
 struct EpochContext {
   /// Bumped once per update_fast epoch; memos from earlier epochs (or an
@@ -32,18 +57,23 @@ struct EpochContext {
   static constexpr std::size_t kMemoSlots = 4;
   ScanMemo memos[kMemoSlots];
 
-  /// The memo slot owned by `db`, claiming a free slot on first sight.
-  /// Returns nullptr when more distinct databases than slots are in play;
-  /// callers then fall back to their private unmemoized scratch.
+  /// Scheme kernel buffers (see SchemeScratch).
+  SchemeScratch buffers;
+
+  /// The memo slot owned by `db`. On first sight in this epoch `db`
+  /// claims a slot no other database has used this epoch -- an arena
+  /// outlives deployments, so slots of earlier epochs are recycled rather
+  /// than held by databases that may never come back. Returns nullptr
+  /// only when more distinct databases than slots are queried within one
+  /// epoch; callers then fall back to their private unmemoized scratch.
   ScanMemo* memo_for(const FingerprintDatabase* db) {
+    ScanMemo* spare = nullptr;
     for (ScanMemo& m : memos) {
       if (m.db == db) return &m;
-      if (m.db == nullptr) {
-        m.db = db;
-        return &m;
-      }
+      if (spare == nullptr && m.tag != tag) spare = &m;
     }
-    return nullptr;
+    if (spare != nullptr) spare->db = db;
+    return spare;
   }
 
   std::uint64_t cache_hits() const {
@@ -57,9 +87,10 @@ struct EpochContext {
     return total;
   }
 
-  /// Heap capacity held by the memos (perf.scratch_bytes accounting).
+  /// Heap capacity held by the memos and the kernel buffers
+  /// (perf.scratch_bytes accounting).
   std::size_t bytes() const {
-    std::size_t b = 0;
+    std::size_t b = buffers.bytes();
     for (const ScanMemo& m : memos) {
       b += m.all.capacity() * sizeof(Match);
       b += m.scratch.col.capacity() * sizeof(int);

@@ -45,11 +45,13 @@ struct Match {
 };
 
 /// Caller-owned working state for the cached matching fast path
-/// (k_nearest_into / all_distances_into). One per session/thread: the
-/// database itself stays read-only during queries, so concurrent sessions
-/// share one immutable cache and keep their mutable state here. All
-/// buffers reach steady capacity after the first query against a given
-/// database (zero allocations thereafter).
+/// (k_nearest_into / all_distances_into). Never used by two threads at
+/// once: the database itself stays read-only during queries, so
+/// concurrent sessions share one immutable cache and keep their mutable
+/// state here -- in the epoch arena of the thread serving them. One
+/// scratch may serve several databases in turn. All buffers reach steady
+/// capacity after the first query against the largest database they
+/// serve (zero allocations thereafter).
 struct ScanScratch {
   std::vector<int> col;             ///< Per scan reading: AP column or -1.
   std::vector<std::uint32_t> stamp; ///< Per column: epoch of last sighting.
@@ -70,8 +72,8 @@ class FingerprintDatabase;
 /// (k_nearest_memo). Several pipeline stages query the same database with
 /// the same scan and differ only in k; the memo holds the full unsorted
 /// candidate array so the evaluation runs once per (epoch, database) and
-/// every k is served from it. Owned by the caller like ScanScratch: one
-/// per session, never shared across threads.
+/// every k is served from it. Owned by the caller like ScanScratch (the
+/// epoch arena's EpochContext holds them), never shared across threads.
 struct ScanMemo {
   const FingerprintDatabase* db{nullptr};  ///< Database `all` was built on.
   std::uint64_t tag{0};                    ///< Epoch tag `all` is valid for.

@@ -91,23 +91,27 @@ void FingerprintScheme::update_into(const sim::SensorFrame& frame,
   // The raw scan is the one other stages (fusion, the rssi_dist_sd
   // feature) query this epoch, so its candidate evaluation is shared
   // through the epoch context; a calibrated scan is private to this
-  // scheme and keeps its private scratch.
+  // scheme and keeps its private scratch. Outside update_fast there is no
+  // arena to borrow buffers from, so the query stages in a private set.
+  SchemeScratch own;
+  SchemeScratch& buf = epoch_ctx_ != nullptr ? epoch_ctx_->buffers : own;
+  std::vector<Match>& matches = buf.matches;
   ScanMemo* memo = (epoch_ctx_ != nullptr && scan == &raw)
                        ? epoch_ctx_->memo_for(db_)
                        : nullptr;
   if (memo != nullptr) {
-    db_->k_nearest_memo(*scan, opts_.top_k, epoch_ctx_->tag, *memo, matches_);
+    db_->k_nearest_memo(*scan, opts_.top_k, epoch_ctx_->tag, *memo, matches);
   } else {
-    db_->k_nearest_into(*scan, opts_.top_k, scan_scratch_, matches_);
+    db_->k_nearest_into(*scan, opts_.top_k, scan_scratch_, matches);
   }
-  if (matches_.empty()) return;
+  if (matches.empty()) return;
 
   out.available = true;
-  out.estimate = db_->fingerprints()[matches_[0].index].pos;
+  out.estimate = db_->fingerprints()[matches[0].index].pos;
 
-  const double best = matches_[0].distance;
+  const double best = matches[0].distance;
   out.posterior.support.clear();
-  for (const Match& m : matches_) {
+  for (const Match& m : matches) {
     const double w =
         std::exp(-(m.distance - best) / opts_.softmax_scale_db);
     out.posterior.support.push_back({db_->fingerprints()[m.index].pos, w});
@@ -115,13 +119,14 @@ void FingerprintScheme::update_into(const sim::SensorFrame& frame,
   out.posterior.normalize();
 
   out.observables[kNumTransmitters] = static_cast<double>(scan->size());
-  top3_.clear();
-  for (std::size_t i = 0; i < matches_.size() && i < 3; ++i) {
-    top3_.push_back(matches_[i].distance);
+  std::vector<double>& top3 = buf.top3;
+  top3.clear();
+  for (std::size_t i = 0; i < matches.size() && i < 3; ++i) {
+    top3.push_back(matches[i].distance);
   }
   out.observables[kTopDistance] = best;
   out.observables[kTop3DistanceSd] =
-      top3_.size() >= 2 ? stats::stddev(top3_) : 0.0;
+      top3.size() >= 2 ? stats::stddev(top3) : 0.0;
 }
 
 }  // namespace uniloc::schemes

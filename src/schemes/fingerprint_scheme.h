@@ -54,11 +54,10 @@ class FingerprintScheme final : public LocalizationScheme {
   OffsetCalibrator calibrator_;
   EpochContext* epoch_ctx_{nullptr};
 
-  // Fast-path scratch: reused across epochs by update_into.
+  /// Likelihood-cache workspace for queries the epoch memo cannot serve.
   ScanScratch scan_scratch_;
-  std::vector<Match> matches_;
+  /// Device-calibrated copy of the scan (calibrate_offset only).
   std::vector<sim::ApReading> scan_buf_;
-  std::vector<double> top3_;
 };
 
 }  // namespace uniloc::schemes

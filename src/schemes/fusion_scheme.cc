@@ -48,28 +48,31 @@ void FusionScheme::extra_reweight(const sim::SensorFrame& frame) {
   });
 }
 
-void FusionScheme::extra_reweight_fast(const sim::SensorFrame& frame) {
+void FusionScheme::extra_reweight_fast(const sim::SensorFrame& frame,
+                                       SchemeScratch& buf) {
   if (frame.wifi.empty() || db_->empty()) return;
 
   // The WiFi scheme has typically evaluated this scan against the same
   // database already this epoch; the shared memo turns our query into a
   // copy + partial sort.
-  ScanMemo* memo =
-      epoch_ctx_ != nullptr ? epoch_ctx_->memo_for(db_) : nullptr;
+  EpochContext* ctx = epoch_ctx();
+  ScanMemo* memo = ctx != nullptr ? ctx->memo_for(db_) : nullptr;
+  std::vector<Match>& candidates = buf.matches;
   if (memo != nullptr) {
-    db_->k_nearest_memo(frame.wifi, opts_.rssi_top_k, epoch_ctx_->tag, *memo,
-                        candidates_);
+    db_->k_nearest_memo(frame.wifi, opts_.rssi_top_k, ctx->tag, *memo,
+                        candidates);
   } else {
     db_->k_nearest_into(frame.wifi, opts_.rssi_top_k, scan_scratch_,
-                        candidates_);
+                        candidates);
   }
-  if (candidates_.empty()) return;
+  if (candidates.empty()) return;
 
-  const double best = candidates_[0].distance;
-  rssi_w_.resize(candidates_.size());
-  for (std::size_t i = 0; i < candidates_.size(); ++i) {
-    rssi_w_[i] = stats::det_exp(-(candidates_[i].distance - best) /
-                                opts_.rssi_scale_db);
+  const double best = candidates[0].distance;
+  std::vector<double>& rssi_w = buf.rssi_w;
+  rssi_w.resize(candidates.size());
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    rssi_w[i] = stats::det_exp(-(candidates[i].distance - best) /
+                               opts_.rssi_scale_db);
   }
 
 #if !defined(UNILOC_NO_SIMD)
@@ -81,8 +84,8 @@ void FusionScheme::extra_reweight_fast(const sim::SensorFrame& frame) {
     // det_exp-based and inline in both paths).
     filter::ParticleFilter& f = pf();
     const std::size_t n = f.size();
-    like_.resize(n);
-    double* like = like_.data();
+    buf.like.resize(n);
+    double* like = buf.like.data();
     const double floor_like = opts_.floor_likelihood;
     UNILOC_PRAGMA_SIMD
     for (std::size_t p = 0; p < n; ++p) like[p] = floor_like;
@@ -90,11 +93,11 @@ void FusionScheme::extra_reweight_fast(const sim::SensorFrame& frame) {
     const double* ys = f.pos_ys();
     const double inv_sd2 =
         1.0 / (opts_.spatial_sd_m * opts_.spatial_sd_m);
-    for (std::size_t i = 0; i < candidates_.size(); ++i) {
-      const geo::Vec2 fp_pos = db_->fingerprints()[candidates_[i].index].pos;
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      const geo::Vec2 fp_pos = db_->fingerprints()[candidates[i].index].pos;
       const double fx = fp_pos.x;
       const double fy = fp_pos.y;
-      const double w = rssi_w_[i];
+      const double w = rssi_w[i];
       UNILOC_PRAGMA_SIMD
       for (std::size_t p = 0; p < n; ++p) {
         const double dx = xs[p] - fx;
@@ -106,8 +109,6 @@ void FusionScheme::extra_reweight_fast(const sim::SensorFrame& frame) {
     return;
   }
 #endif
-  const std::vector<Match>& candidates = candidates_;
-  const std::vector<double>& rssi_w = rssi_w_;
   const double inv_sd2 = 1.0 / (opts_.spatial_sd_m * opts_.spatial_sd_m);
   pf().reweight([&](const filter::Particle& p) {
     double like = opts_.floor_likelihood;

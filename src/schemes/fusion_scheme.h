@@ -33,7 +33,6 @@ class FusionScheme final : public PdrScheme {
 
   std::string name() const override { return "Fusion"; }
   SchemeFamily family() const override { return SchemeFamily::kFusion; }
-  void set_epoch_context(EpochContext* ctx) override { epoch_ctx_ = ctx; }
 
   std::uint64_t cache_hits() const override { return scan_scratch_.cache_hits; }
   std::uint64_t cache_misses() const override {
@@ -42,20 +41,15 @@ class FusionScheme final : public PdrScheme {
 
  protected:
   void extra_reweight(const sim::SensorFrame& frame) override;
-  void extra_reweight_fast(const sim::SensorFrame& frame) override;
+  void extra_reweight_fast(const sim::SensorFrame& frame,
+                           SchemeScratch& buf) override;
 
  private:
   const FingerprintDatabase* db_;
   FusionOptions opts_;
-  EpochContext* epoch_ctx_{nullptr};
 
-  // Fast-path scratch: candidate matches, their RSSI weights, the
-  // likelihood-cache workspace, and the per-particle likelihood lanes of
-  // the SIMD reweight kernel, reused across epochs.
+  /// Likelihood-cache workspace for queries the epoch memo cannot serve.
   ScanScratch scan_scratch_;
-  std::vector<Match> candidates_;
-  std::vector<double> rssi_w_;
-  std::vector<double> like_;
 };
 
 }  // namespace uniloc::schemes

@@ -105,7 +105,8 @@ void PdrScheme::apply_wall_constraint(const std::vector<geo::Vec2>& before) {
 
 void PdrScheme::extra_reweight(const sim::SensorFrame&) {}
 
-void PdrScheme::extra_reweight_fast(const sim::SensorFrame& frame) {
+void PdrScheme::extra_reweight_fast(const sim::SensorFrame& frame,
+                                    SchemeScratch&) {
   extra_reweight(frame);
 }
 
@@ -141,9 +142,10 @@ void PdrScheme::make_output_into(SchemeOutput& out) const {
   out.observables[kParticleSpread] = pf_.spread();
 }
 
-void PdrScheme::step_epoch(const sim::SensorFrame& frame, bool fast) {
+void PdrScheme::step_epoch(const sim::SensorFrame& frame, bool fast,
+                           SchemeScratch& buf) {
   const StepInference inf = frontend_.process(frame.imu);
-  std::vector<geo::Vec2>& before = before_;
+  std::vector<geo::Vec2>& before = buf.before;
   before.clear();
   if (opts_.use_walls && inf.steps > 0) {
     before.reserve(pf_.size());
@@ -152,7 +154,7 @@ void PdrScheme::step_epoch(const sim::SensorFrame& frame, bool fast) {
   for (int s = 0; s < inf.steps; ++s) {
     pf_.predict(inf.step_length_m,
                 inf.dheading_rad / static_cast<double>(inf.steps),
-                opts_.step_len_sd, opts_.heading_sd);
+                opts_.step_len_sd, opts_.heading_sd, buf.pf);
     dist_since_landmark_ += inf.step_length_m;
   }
   if (!before.empty()) apply_wall_constraint(before);
@@ -163,18 +165,19 @@ void PdrScheme::step_epoch(const sim::SensorFrame& frame, bool fast) {
   {
     obs::ScopedTimer t(extra_us_);
     if (fast) {
-      extra_reweight_fast(frame);
+      extra_reweight_fast(frame, buf);
     } else {
       extra_reweight(frame);
     }
   }
   apply_landmarks(frame);
-  pf_.resample();
+  pf_.resample(buf.pf);
 }
 
 SchemeOutput PdrScheme::update(const sim::SensorFrame& frame) {
   if (!started_) return {};
-  step_epoch(frame, /*fast=*/false);
+  SchemeScratch own;
+  step_epoch(frame, /*fast=*/false, own);
   return make_output();
 }
 
@@ -183,7 +186,11 @@ void PdrScheme::update_into(const sim::SensorFrame& frame, SchemeOutput& out) {
     out.available = false;
     return;
   }
-  step_epoch(frame, /*fast=*/true);
+  // Outside update_fast there is no arena to borrow; an empty private set
+  // costs nothing until a kernel grows it.
+  SchemeScratch own;
+  step_epoch(frame, /*fast=*/true,
+             epoch_ctx_ != nullptr ? epoch_ctx_->buffers : own);
   make_output_into(out);
 }
 

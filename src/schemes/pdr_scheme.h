@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "filter/particle_filter.h"
+#include "schemes/epoch_context.h"
 #include "schemes/pdr_frontend.h"
 #include "schemes/scheme.h"
 #include "sim/place.h"
@@ -45,6 +46,7 @@ class PdrScheme : public LocalizationScheme {
   void reset(const StartCondition& start) override;
   SchemeOutput update(const sim::SensorFrame& frame) override;
   void update_into(const sim::SensorFrame& frame, SchemeOutput& out) override;
+  void set_epoch_context(EpochContext* ctx) override { epoch_ctx_ = ctx; }
   void attach_metrics(obs::MetricsRegistry* registry) override;
   void snapshot_into(offload::ByteWriter& w) const override;
   bool restore_from(offload::ByteReader& r) override;
@@ -63,18 +65,24 @@ class PdrScheme : public LocalizationScheme {
   virtual void extra_reweight(const sim::SensorFrame& frame);
 
   /// Fast-path twin of extra_reweight: must compute bit-identical weights
-  /// but may reuse subclass-owned scratch. Defaults to extra_reweight.
-  virtual void extra_reweight_fast(const sim::SensorFrame& frame);
+  /// but may stage its work in `buf` and read the epoch context.
+  /// Defaults to extra_reweight.
+  virtual void extra_reweight_fast(const sim::SensorFrame& frame,
+                                   SchemeScratch& buf);
 
   filter::ParticleFilter& pf() { return pf_; }
   const sim::Place* place() const { return place_; }
   const PdrOptions& options() const { return opts_; }
+  /// The installed fast-path epoch context (null outside update_fast).
+  EpochContext* epoch_ctx() const { return epoch_ctx_; }
 
  private:
   /// One epoch of filtering (predict, constraints, reweight, resample),
   /// shared verbatim by update() and update_into() so both consume the
-  /// same RNG stream. `fast` only selects which extra_reweight twin runs.
-  void step_epoch(const sim::SensorFrame& frame, bool fast);
+  /// same RNG stream. `fast` only selects which extra_reweight twin runs;
+  /// `buf` holds the epoch's working memory.
+  void step_epoch(const sim::SensorFrame& frame, bool fast,
+                  SchemeScratch& buf);
   /// `fast` routes the per-particle environment lookup through the
   /// Place's precomputed candidate index (bit-identical; see
   /// Place::environment_at_fast). The reference path keeps the full scan.
@@ -94,9 +102,7 @@ class PdrScheme : public LocalizationScheme {
   obs::Histogram* map_us_{nullptr};
   obs::Histogram* extra_us_{nullptr};
   obs::Histogram* output_us_{nullptr};
-  /// Pre-step particle positions for the wall-crossing test; member scratch
-  /// so steady-state updates reuse its capacity instead of reallocating.
-  std::vector<geo::Vec2> before_;
+  EpochContext* epoch_ctx_{nullptr};
   double dist_since_landmark_{0.0};
   bool started_{false};
 };

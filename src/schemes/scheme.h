@@ -132,21 +132,27 @@ class LocalizationScheme {
   /// may read is bit-identical to update()'s result; consumers gate on
   /// `out.available`, so implementations may leave stale estimate /
   /// posterior / observables behind when the scheme is unavailable
-  /// (DESIGN.md section 11). The default delegates to update() --
-  /// correct for any scheme, zero-allocation only where overridden.
+  /// (DESIGN.md section 11). The slot may last have been written by
+  /// another session's scheme -- the service's epoch arenas are per
+  /// thread -- so an implementation that reports `available` must write
+  /// every field a consumer reads (the posterior and every observable
+  /// its family's features look up). The default delegates to update()
+  /// -- correct for any scheme, zero-allocation only where overridden.
   virtual void update_into(const sim::SensorFrame& frame, SchemeOutput& out) {
     out = update(frame);
   }
 
   /// Install the shared fast-path epoch state (nullptr detaches). The
-  /// fast pipeline calls this before each epoch's update_into round so
-  /// schemes querying the same sensor scan can share one candidate
-  /// evaluation (schemes/epoch_context.h). The context must outlive the
-  /// scheme's use of it -- it lives in the session's EpochScratch, whose
-  /// lifetime rules (DESIGN.md section 11) already require exactly that.
-  /// Default: the scheme keeps no shared state. Only update_into may read
-  /// the context; update() must stay context-free (it is the reference
-  /// the differential suite compares against).
+  /// fast pipeline installs it before each epoch's update_into round and
+  /// detaches it after the epoch, so schemes querying the same sensor
+  /// scan share one candidate evaluation and their kernels borrow the
+  /// arena's buffers (schemes/epoch_context.h). The context lives in an
+  /// EpochScratch -- in the service, the arena of whichever worker thread
+  /// serves the epoch -- so a scheme must not keep using it once the
+  /// epoch ends (DESIGN.md section 11). Default: the scheme keeps no
+  /// shared state. Only update_into may read the context; update() must
+  /// stay context-free (it is the reference the differential suite
+  /// compares against).
   virtual void set_epoch_context(EpochContext* ctx) { (void)ctx; }
 
   /// Attach internal-stage latency instrumentation to `registry`

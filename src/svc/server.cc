@@ -5,6 +5,7 @@
 #include <thread>
 #include <utility>
 
+#include "core/epoch_scratch.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
@@ -16,6 +17,21 @@
 #include "svc/epoch_codec.h"
 
 namespace uniloc::svc {
+
+namespace {
+
+/// The calling thread's epoch arena. Sessions hold state, threads hold
+/// scratch: every epoch this thread runs -- as a pool worker, a batch
+/// runner, the inline workers == 0 caller, or the ingress thread draining
+/// behind run_exclusive -- reuses this one EpochScratch, whichever
+/// session it serves. Nothing in it carries from one epoch to the next
+/// (core/epoch_scratch.h), so replies are unchanged.
+core::EpochScratch& thread_scratch() {
+  thread_local core::EpochScratch scratch;
+  return scratch;
+}
+
+}  // namespace
 
 LocalizationServer::LocalizationServer(ServerConfig cfg,
                                        UnilocFactory factory,
@@ -296,8 +312,17 @@ void LocalizationServer::run_epoch(Session& session,
   if (tracer != nullptr) tracer->end(decode_span);
 
   stage.restart();
-  // We are on the session strand here, so the scratch arena and the perf
-  // cursor are single-writer even with workers > 0.
+  // We are on the session strand, and the arena belongs to this thread:
+  // both are single-writer even with workers > 0. The cache counters are
+  // cumulative (the schemes' per session, the arena's per thread), so
+  // this epoch's share is their growth across the call.
+  core::EpochScratch& scratch = thread_scratch();
+  const auto cache_totals = [&session, &scratch] {
+    return std::pair{
+        session.uniloc().scheme_cache_hits() + scratch.cache_hits(),
+        session.uniloc().scheme_cache_misses() + scratch.cache_misses()};
+  };
+  const auto [hits0, misses0] = cache_totals();
   core::EpochDecision ref_decision;
   const core::EpochDecision* decision_ptr;
   {
@@ -312,8 +337,7 @@ void LocalizationServer::run_epoch(Session& session,
                                       session_id});
     }
     if (cfg_.use_fast_path) {
-      decision_ptr = &session.uniloc().update_fast(req->frame,
-                                                   session.scratch());
+      decision_ptr = &session.uniloc().update_fast(req->frame, scratch);
     } else {
       ref_decision = session.uniloc().update(req->frame);
       decision_ptr = &ref_decision;
@@ -325,16 +349,10 @@ void LocalizationServer::run_epoch(Session& session,
 
   std::uint64_t hits_delta = 0, misses_delta = 0, scratch_bytes = 0;
   if (cfg_.use_fast_path) {
-    const std::uint64_t hits =
-        session.uniloc().scheme_cache_hits() + session.scratch().cache_hits();
-    const std::uint64_t misses = session.uniloc().scheme_cache_misses() +
-                                 session.scratch().cache_misses();
-    Session::PerfCursor& cursor = session.perf_cursor();
-    hits_delta = hits - cursor.cache_hits;
-    misses_delta = misses - cursor.cache_misses;
-    cursor.cache_hits = hits;
-    cursor.cache_misses = misses;
-    scratch_bytes = session.scratch().bytes();
+    const auto [hits1, misses1] = cache_totals();
+    hits_delta = hits1 - hits0;
+    misses_delta = misses1 - misses0;
+    scratch_bytes = scratch.bytes();
   }
 
   stage.restart();

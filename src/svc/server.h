@@ -86,10 +86,10 @@ struct ServerConfig {
   /// these waits across sessions exactly like a real synchronous server;
   /// 0 (the default) disables the wait for unit tests and replays.
   std::chrono::microseconds simulated_network{0};
-  /// Run epochs through core::Uniloc::update_fast against the session's
-  /// scratch arena (zero steady-state allocations per epoch; decisions
-  /// bit-identical to the reference update()). false keeps the reference
-  /// pipeline -- the differential chaos tests drive both.
+  /// Run epochs through core::Uniloc::update_fast against the serving
+  /// thread's epoch arena (zero steady-state allocations per epoch;
+  /// decisions bit-identical to the reference update()). false keeps the
+  /// reference pipeline -- the differential chaos tests drive both.
   bool use_fast_path{true};
   /// Injectable clock (microseconds, monotonic) for deterministic TTL
   /// tests; defaults to steady_clock. sim::VirtualClock::now_fn() plugs
@@ -98,7 +98,9 @@ struct ServerConfig {
   /// Observation hook: called with every successfully served epoch's full
   /// decision, after the reply is sent. With workers > 0 it runs on the
   /// worker threads and must be thread-safe; intended for invariant
-  /// checks and tracing in the deterministic workers == 0 mode.
+  /// checks and tracing in the deterministic workers == 0 mode. The
+  /// decision lives in the serving thread's epoch arena: copy what must
+  /// outlive the call.
   std::function<void(std::uint64_t session_id,
                      const core::EpochDecision& decision)>
       on_epoch;
@@ -278,7 +280,7 @@ class LocalizationServer : public Endpoint {
     obs::Histogram* net_us{nullptr};
     // Fast-path pipeline health (populated only when use_fast_path):
     // likelihood-cache outcomes aggregated across sessions, and the
-    // arena footprint of the most recently served session.
+    // footprint of the arena that served the most recent epoch.
     obs::Counter* perf_cache_hits{nullptr};
     obs::Counter* perf_cache_misses{nullptr};
     obs::Gauge* perf_scratch_bytes{nullptr};

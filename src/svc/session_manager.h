@@ -1,7 +1,9 @@
 // Multi-tenant session store: mutex-striped map + per-session strand.
 //
 // Each session owns one core::Uniloc (its trained ensemble, filters, and
-// duty-cycle state) and a bounded inbox of pending epoch tasks. The inbox
+// duty-cycle state) and a bounded inbox of pending epoch tasks. It holds
+// state only: the per-epoch working memory lives in the epoch arena of
+// whichever worker thread runs the epoch (svc/server.cc). The inbox
 // is a *strand*: a session's tasks run strictly in arrival order and
 // never concurrently with each other, while distinct sessions run in
 // parallel on whatever workers pick up their drains. The enqueue/drain
@@ -26,7 +28,6 @@
 #include <mutex>
 #include <vector>
 
-#include "core/epoch_scratch.h"
 #include "core/uniloc.h"
 
 namespace uniloc::svc {
@@ -46,19 +47,6 @@ class Session {
 
   std::uint64_t id() const { return id_; }
   core::Uniloc& uniloc() { return *uniloc_; }
-
-  /// The session's epoch scratch arena. Only ever touched from the
-  /// session strand (drain() runs on one worker at a time), which is the
-  /// single-writer guarantee the arena needs (DESIGN.md section 11).
-  core::EpochScratch& scratch() { return scratch_; }
-
-  /// Last cache-counter totals already reported to the server's perf
-  /// counters; strand-only, like the scratch arena.
-  struct PerfCursor {
-    std::uint64_t cache_hits{0};
-    std::uint64_t cache_misses{0};
-  };
-  PerfCursor& perf_cursor() { return perf_cursor_; }
 
   /// Accept `task` unless `capacity` tasks are already pending.
   /// Also stamps last-active to `now_us`.
@@ -115,8 +103,6 @@ class Session {
  private:
   const std::uint64_t id_;
   std::unique_ptr<core::Uniloc> uniloc_;
-  core::EpochScratch scratch_;
-  PerfCursor perf_cursor_;
 
   mutable std::mutex mu_;
   /// Pending-task ring: index math over a never-shrinking vector rather

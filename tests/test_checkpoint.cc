@@ -141,8 +141,9 @@ TEST(RngCodec, RejectsWrongTokenCountAndHostilePosition) {
 
 TEST(ParticleFilter, SnapshotRestoreContinuesFilterBitIdentically) {
   filter::ParticleFilter a(64, /*seed=*/5);
+  filter::KernelScratch scratch;
   a.init({3.0, 4.0}, 0.7, 0.8, 0.08, 0.07);
-  a.predict(0.7, 0.1, 0.12, 0.035);
+  a.predict(0.7, 0.1, 0.12, 0.035, scratch);
 
   offload::ByteWriter w;
   a.snapshot_into(w);
@@ -156,10 +157,10 @@ TEST(ParticleFilter, SnapshotRestoreContinuesFilterBitIdentically) {
   EXPECT_EQ(r.remaining(), 0u);
 
   for (int step = 0; step < 10; ++step) {
-    a.predict(0.7, -0.05, 0.12, 0.035);
-    b.predict(0.7, -0.05, 0.12, 0.035);
-    a.resample(1.0);  // force a resample: consumes the uniform draw
-    b.resample(1.0);
+    a.predict(0.7, -0.05, 0.12, 0.035, scratch);
+    b.predict(0.7, -0.05, 0.12, 0.035, scratch);
+    a.resample(scratch, 1.0);  // force a resample: consumes the uniform draw
+    b.resample(scratch, 1.0);
   }
   for (std::size_t i = 0; i < a.size(); ++i) {
     const filter::Particle pa = a.particle(i);

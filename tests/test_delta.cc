@@ -755,10 +755,12 @@ TEST(GroupCommitter, DestructorDrainsEverythingAccepted) {
 
 filter::ParticleFilter warm_filter(std::uint64_t seed) {
   filter::ParticleFilter f(128, seed);
+  filter::KernelScratch scratch;
   f.init({40.0, 60.0}, 0.7, 0.8, 6.0, 0.4);
-  for (int i = 0; i < 5; ++i) f.predict(0.7, 0.1, 0.12, 0.035);
-  f.resample(1.0);
-  f.predict(0.7, -0.2, 0.12, 0.035);  // leave non-uniform weights behind
+  for (int i = 0; i < 5; ++i) f.predict(0.7, 0.1, 0.12, 0.035, scratch);
+  f.resample(scratch, 1.0);
+  // Leave non-uniform weights behind.
+  f.predict(0.7, -0.2, 0.12, 0.035, scratch);
   return f;
 }
 

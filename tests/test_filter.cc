@@ -24,8 +24,9 @@ TEST(ParticleFilter, InitClustersAroundStart) {
 
 TEST(ParticleFilter, PredictMovesCloudAlongHeading) {
   ParticleFilter pf(500, stats::Rng(2));
+  KernelScratch scratch;
   pf.init({0.0, 0.0}, 0.0, 0.1, 0.01, 0.0);
-  for (int i = 0; i < 10; ++i) pf.predict(1.0, 0.0, 0.01, 0.005);
+  for (int i = 0; i < 10; ++i) pf.predict(1.0, 0.0, 0.01, 0.005, scratch);
   const geo::Vec2 m = pf.mean();
   EXPECT_NEAR(m.x, 10.0, 0.5);
   EXPECT_NEAR(m.y, 0.0, 0.5);
@@ -33,12 +34,13 @@ TEST(ParticleFilter, PredictMovesCloudAlongHeading) {
 
 TEST(ParticleFilter, PredictTurns) {
   ParticleFilter pf(500, stats::Rng(3));
+  KernelScratch scratch;
   pf.init({0.0, 0.0}, 0.0, 0.01, 0.001, 0.0);
   // Quarter turn over 10 steps, then walk straight up.
   for (int i = 0; i < 10; ++i) {
-    pf.predict(0.0, std::numbers::pi / 20.0, 0.0, 0.001);
+    pf.predict(0.0, std::numbers::pi / 20.0, 0.0, 0.001, scratch);
   }
-  for (int i = 0; i < 10; ++i) pf.predict(1.0, 0.0, 0.01, 0.001);
+  for (int i = 0; i < 10; ++i) pf.predict(1.0, 0.0, 0.01, 0.001, scratch);
   const geo::Vec2 m = pf.mean();
   EXPECT_NEAR(m.x, 0.0, 0.8);
   EXPECT_NEAR(m.y, 10.0, 0.8);
@@ -82,7 +84,8 @@ TEST(ParticleFilter, ResampleRestoresEss) {
   pf.reweight([](const Particle& p) {
     return std::exp(-p.pos.norm2());  // sharply peaked
   });
-  pf.resample(1.0);
+  KernelScratch scratch;
+  pf.resample(scratch, 1.0);
   EXPECT_NEAR(pf.effective_sample_size(), 200.0, 1e-6);
   EXPECT_EQ(pf.size(), 200u);
 }
@@ -91,7 +94,8 @@ TEST(ParticleFilter, ResampleSkipsWhenEssHigh) {
   ParticleFilter pf(100, stats::Rng(8));
   pf.init({0.0, 0.0}, 0.0, 1.0, 0.1, 0.0);
   const geo::Vec2 before = pf.pos(0);
-  pf.resample(0.5);  // uniform weights: ESS = N, no resample
+  KernelScratch scratch;
+  pf.resample(scratch, 0.5);  // uniform weights: ESS = N, no resample
   EXPECT_EQ(pf.pos(0), before);
 }
 
@@ -102,7 +106,8 @@ TEST(ParticleFilter, ResamplePreservesMean) {
     return std::exp(-0.1 * p.pos.norm2());
   });
   const geo::Vec2 before = pf.mean();
-  pf.resample(1.0);
+  KernelScratch scratch;
+  pf.resample(scratch, 1.0);
   const geo::Vec2 after = pf.mean();
   EXPECT_NEAR(before.x, after.x, 0.3);
   EXPECT_NEAR(before.y, after.y, 0.3);
@@ -110,12 +115,13 @@ TEST(ParticleFilter, ResamplePreservesMean) {
 
 TEST(ParticleFilter, StepScalePersonalization) {
   ParticleFilter pf(2000, stats::Rng(10));
+  KernelScratch scratch;
   pf.init({0.0, 0.0}, 0.0, 0.01, 0.001, 0.2);
   // Particles with larger step_scale end up further along x; selecting for
   // them mimics the gait-personalization adaptation.
-  for (int i = 0; i < 20; ++i) pf.predict(1.0, 0.0, 0.0, 0.0);
+  for (int i = 0; i < 20; ++i) pf.predict(1.0, 0.0, 0.0, 0.0, scratch);
   pf.reweight([](const Particle& p) { return p.pos.x > 22.0 ? 1.0 : 1e-9; });
-  pf.resample(1.0);
+  pf.resample(scratch, 1.0);
   double mean_scale = 0.0;
   for (std::size_t i = 0; i < pf.size(); ++i) mean_scale += pf.step_scale(i);
   mean_scale /= static_cast<double>(pf.size());

@@ -1,6 +1,6 @@
 // Performance contracts of the fast epoch pipeline.
 //
-// Two families of guarantees, enforced rather than documented:
+// Three families of guarantees, enforced rather than documented:
 //
 //   1. Allocation contracts. The test binary replaces global operator
 //      new/delete with a counting hook; after a warmup walk segment has
@@ -16,23 +16,32 @@
 //      (stale tables must never serve); invalidated queries fall back to
 //      the exact path and are counted as misses; a rebuilt cache serves
 //      hits again.
+//
+//   3. Epoch-arena contracts. One arena serves many sessions in turn, as
+//      a service worker's does: their decisions match solo runs bit for
+//      bit, memo slots recycle across deployments, and no scheme keeps
+//      the epoch context once the epoch is over (DESIGN.md section 11).
 #include <gtest/gtest.h>
 
 #include <execinfo.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "core/deployment.h"
 #include "core/epoch_scratch.h"
 #include "core/runner.h"
 #include "core/trainer.h"
 #include "filter/particle_filter.h"
 #include "schemes/fingerprint_db.h"
+#include "schemes/scheme.h"
 #include "sim/builders.h"
 #include "sim/walker.h"
 #include "stats/simd.h"
@@ -132,37 +141,50 @@ const core::TrainedModels& test_models() {
 TEST(PerfContracts, UpdateFastIsAllocationFreeAfterWarmup) {
   // The office venue is fully indoor: GPS stays duty-cycled off and the
   // scheme availability pattern stabilizes within a handful of epochs, so
-  // every buffer hits steady capacity during the warmup prefix.
+  // every buffer hits steady capacity during the warmup prefix. A second
+  // session -- its own ensemble seed, another walk of the loop -- then
+  // runs on the arena the first one warmed, as a service worker does with
+  // every session after its first. Its steady epochs must allocate
+  // nothing either: the arena never regrows for a new session.
   core::Deployment d = core::make_deployment(
       sim::office_place(42), core::DeploymentOptions{.seed = 42});
-  core::Uniloc uniloc = core::make_uniloc(d, test_models());
   core::EpochScratch scratch;
-
-  sim::Walker walker(d.place.get(), d.radio.get(), 0, sim::WalkConfig{});
-  uniloc.reset({walker.start_position(), walker.start_heading()});
-
-  std::vector<std::uint64_t> allocs_per_epoch;
-  allocs_per_epoch.reserve(1 << 14);
   constexpr std::size_t kWarmupEpochs = 25;
-  while (!walker.done()) {
-    const sim::SensorFrame frame = walker.step(uniloc.gps_enabled());
-    if (std::getenv("UNILOC_ALLOC_TRAP") != nullptr &&
-        allocs_per_epoch.size() >= kWarmupEpochs) {
-      g_trap.store(true, std::memory_order_relaxed);
-    }
-    begin_counting();
-    uniloc.update_fast(frame, scratch);
-    allocs_per_epoch.push_back(end_counting());
-  }
 
-  ASSERT_GT(allocs_per_epoch.size(), 2 * kWarmupEpochs)
-      << "walk too short to measure a steady state";
-  for (std::size_t e = kWarmupEpochs; e < allocs_per_epoch.size(); ++e) {
-    EXPECT_EQ(allocs_per_epoch[e], 0u)
-        << allocs_per_epoch[e] << " allocation(s) in steady-state epoch "
-        << e;
+  const auto walk = [&](std::uint64_t ensemble_seed, std::uint64_t walk_seed) {
+    core::Uniloc uniloc =
+        core::make_uniloc(d, test_models(), {}, false, ensemble_seed);
+    sim::Walker walker(d.place.get(), d.radio.get(), 0,
+                       sim::WalkConfig{.seed = walk_seed});
+    uniloc.reset({walker.start_position(), walker.start_heading()});
+
+    std::vector<std::uint64_t> allocs_per_epoch;
+    allocs_per_epoch.reserve(1 << 14);
+    while (!walker.done()) {
+      const sim::SensorFrame frame = walker.step(uniloc.gps_enabled());
+      if (std::getenv("UNILOC_ALLOC_TRAP") != nullptr &&
+          allocs_per_epoch.size() >= kWarmupEpochs) {
+        g_trap.store(true, std::memory_order_relaxed);
+      }
+      begin_counting();
+      uniloc.update_fast(frame, scratch);
+      allocs_per_epoch.push_back(end_counting());
+    }
+    g_trap.store(false, std::memory_order_relaxed);
+    return allocs_per_epoch;
+  };
+
+  for (const std::uint64_t session : {1u, 2u}) {
+    const std::vector<std::uint64_t> allocs = walk(6 + session, session);
+    ASSERT_GT(allocs.size(), 2 * kWarmupEpochs)
+        << "walk too short to measure a steady state";
+    for (std::size_t e = kWarmupEpochs; e < allocs.size(); ++e) {
+      EXPECT_EQ(allocs[e], 0u)
+          << allocs[e] << " allocation(s) in steady-state epoch " << e
+          << " of session " << session;
+    }
   }
-  // The zero above must come from reuse, not from an empty arena.
+  // The zeros above must come from reuse, not from an empty arena.
   EXPECT_GT(scratch.bytes(), 0u);
 }
 
@@ -189,24 +211,38 @@ TEST(PerfContracts, ReferenceUpdateAllocatesProvingTheHookWorks) {
 }
 
 TEST(PerfContracts, ParticleFilterCycleIsAllocationFreeInSteadyState) {
-  filter::ParticleFilter pf(300, /*seed=*/99);
-  pf.init({5.0, 5.0}, 0.3, 0.8, 0.08, 0.07);
+  // Two filters of different sizes take turns with one kernel scratch,
+  // the way the schemes of every session a worker serves share its
+  // arena. Resampling copies the gathered arrays back instead of swapping
+  // buffers, so no buffer changes owner and neither filter ever finds a
+  // staging buffer too small for it.
+  filter::ParticleFilter a(300, /*seed=*/99);
+  filter::ParticleFilter b(240, /*seed=*/98);
+  a.init({5.0, 5.0}, 0.3, 0.8, 0.08, 0.07);
+  b.init({-5.0, 2.0}, 1.1, 0.8, 0.08, 0.07);
+  filter::KernelScratch scratch;
 
-  const auto cycle = [&pf] {
-    pf.predict(0.7, 0.01, 0.12, 0.035);
+  const auto cycle = [&scratch](filter::ParticleFilter& pf) {
+    pf.predict(0.7, 0.01, 0.12, 0.035, scratch);
     pf.reweight([](const filter::Particle& p) {
       return p.pos.x > 0.0 ? 1.0 : 0.5;
     });
-    pf.resample();
+    pf.resample(scratch, /*ess_threshold_fraction=*/1.0);
   };
   // Warmup: let the resampling pick/gather scratch reach capacity.
-  for (int i = 0; i < 3; ++i) cycle();
+  for (int i = 0; i < 3; ++i) {
+    cycle(a);
+    cycle(b);
+  }
 
   begin_counting();
-  for (int i = 0; i < 50; ++i) cycle();
+  for (int i = 0; i < 50; ++i) {
+    cycle(a);
+    cycle(b);
+  }
   const std::uint64_t allocs = end_counting();
   EXPECT_EQ(allocs, 0u);
-  EXPECT_GT(pf.storage_bytes(), 0u);
+  EXPECT_GT(scratch.bytes(), 0u);
 }
 
 #else  // !UNILOC_ALLOC_COUNTING
@@ -438,80 +474,229 @@ TEST(PerfContracts, BatchAssemblyNeverReordersEpochsWithinASession) {
 
 // ------------------------------------- cross-session isolation audit
 
+/// A user-integrated scheme (family kOther) that reports its start point
+/// every epoch. Placed where the standard ensemble runs the Motion
+/// filter, it hands its output slot a one-point posterior and no
+/// observables where other sessions leave 300 particles behind.
+class AnchorScheme final : public schemes::LocalizationScheme {
+ public:
+  std::string name() const override { return "Anchor"; }
+  schemes::SchemeFamily family() const override {
+    return schemes::SchemeFamily::kOther;
+  }
+  void reset(const schemes::StartCondition& start) override {
+    anchor_ = start.pos;
+  }
+  schemes::SchemeOutput update(const sim::SensorFrame& frame) override {
+    schemes::SchemeOutput out;
+    update_into(frame, out);
+    return out;
+  }
+  // Reports `available`, so it writes every field a consumer reads.
+  void update_into(const sim::SensorFrame&,
+                   schemes::SchemeOutput& out) override {
+    out.available = true;
+    out.estimate = anchor_;
+    out.posterior.support.assign(1, {anchor_, 1.0});
+    out.observables.clear();
+  }
+
+ private:
+  geo::Vec2 anchor_;
+};
+
+/// The consumer-visible part of one decision.
+struct Fix {
+  geo::Vec2 uniloc1, uniloc2;
+  double tau{0.0};
+  int selected{-1};
+  std::vector<double> confidence, weight;
+  bool gps_enable_next{false};
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_same_fix(const Fix& a, const Fix& b, const std::string& where) {
+  EXPECT_EQ(bits(a.uniloc1.x), bits(b.uniloc1.x)) << where;
+  EXPECT_EQ(bits(a.uniloc1.y), bits(b.uniloc1.y)) << where;
+  EXPECT_EQ(bits(a.uniloc2.x), bits(b.uniloc2.x)) << where;
+  EXPECT_EQ(bits(a.uniloc2.y), bits(b.uniloc2.y)) << where;
+  EXPECT_EQ(bits(a.tau), bits(b.tau)) << where;
+  EXPECT_EQ(a.selected, b.selected) << where;
+  EXPECT_EQ(a.gps_enable_next, b.gps_enable_next) << where;
+  ASSERT_EQ(a.confidence.size(), b.confidence.size()) << where;
+  ASSERT_EQ(a.weight.size(), b.weight.size()) << where;
+  for (std::size_t i = 0; i < a.confidence.size(); ++i) {
+    EXPECT_EQ(bits(a.confidence[i]), bits(b.confidence[i]))
+        << where << " scheme " << i;
+    EXPECT_EQ(bits(a.weight[i]), bits(b.weight[i]))
+        << where << " scheme " << i;
+  }
+}
+
 TEST(PerfContracts, InterleavedSessionsMatchSoloRunsBitwise) {
-  // Cross-session leakage regression: sessions share a deployment's
-  // read-only tables (likelihood cache + column-major SIMD mirrors, env
-  // index, walkway graph) while all mutable matching state (ScanScratch,
-  // ScanMemo, EpochContext) lives in the per-session scratch arena.
-  // Interleaving two sessions epoch by epoch must therefore reproduce
-  // each session's solo stream bit for bit -- if any shared table were
-  // secretly mutable per query (or a memo keyed only on a reusable heap
-  // address could cross sessions), this comparison would diverge.
-  // Campus: the two walkers need distinct walkways (0 and 1) so their
-  // streams genuinely differ.
+  // Cross-session leakage regression at the granularity the service
+  // runs: one worker thread's epoch arena serves every session it picks
+  // up. Sessions share a deployment's read-only tables (likelihood cache
+  // + column-major SIMD mirrors, env index, walkway graph) and, through
+  // the arena, every per-epoch buffer: ScanScratch, ScanMemo, the scheme
+  // and particle-filter kernel buffers, and the decision's output slots.
+  // Running all eight campus paths round-robin through ONE EpochScratch
+  // must reproduce each session's solo run bit for bit -- if a shared
+  // table were secretly mutable per query, a memo could serve another
+  // session, or a kernel read a buffer before rewriting it, the streams
+  // would diverge. A ninth session runs a kOther scheme in the slot the
+  // others fill from the Motion filter, so slot payloads cross scheme
+  // types as well as sessions.
   core::Deployment d = core::make_deployment(
       sim::campus(42), core::DeploymentOptions{.seed = 42});
+  const std::size_t paths = d.place->walkways().size();
+  ASSERT_EQ(paths, 8u);
 
   struct Lane {
     sim::Walker walker;
     core::Uniloc uniloc;
-    core::EpochScratch scratch;
     bool gps{true};
-    std::vector<geo::Vec2> fixes;
+    std::vector<Fix> fixes;
   };
-  const auto make_lane = [&](int walker_id, std::uint64_t seed) {
+  // Lane k < 8 walks campus path k with the standard ensemble; lane 8
+  // walks path 0 with AnchorScheme in place of Motion.
+  const auto make_lane = [&](std::size_t k) {
+    const std::uint64_t seed = 7 + k;
+    core::Uniloc uniloc(core::UnilocConfig{.place = d.place.get(),
+                                           .wifi_db = d.wifi_db.get(),
+                                           .cell_db = d.cell_db.get()});
+    std::vector<schemes::SchemePtr> schemes =
+        core::make_standard_schemes(d, false, seed);
+    if (k == paths) {
+      EXPECT_EQ(schemes[3]->family(), schemes::SchemeFamily::kMotionPdr);
+      schemes[3] = std::make_unique<AnchorScheme>();
+    }
+    for (schemes::SchemePtr& s : schemes) {
+      const schemes::SchemeFamily f = s->family();
+      uniloc.add_scheme(std::move(s),
+                        f == schemes::SchemeFamily::kOther
+                            ? core::ErrorModel::constant(6.0, 2.0)
+                            : test_models().for_family(f));
+    }
     // Direct aggregate-init on the heap: Lane's members need not be
     // movable (guaranteed elision into the members).
-    return std::unique_ptr<Lane>(
-        new Lane{sim::Walker(d.place.get(), d.radio.get(), walker_id,
-                             sim::WalkConfig{}),
-                 core::make_uniloc(d, test_models(), {}, false, seed),
-                 core::EpochScratch{}});
+    auto lane = std::unique_ptr<Lane>(
+        new Lane{sim::Walker(d.place.get(), d.radio.get(), k % paths,
+                             sim::WalkConfig{.seed = seed}),
+                 std::move(uniloc), /*gps=*/true, /*fixes=*/{}});
+    lane->uniloc.reset(
+        {lane->walker.start_position(), lane->walker.start_heading()});
+    return lane;
   };
-  const auto step = [](Lane& lane) {
+  const auto step = [](Lane& lane, core::EpochScratch& scratch) {
     if (lane.walker.done()) return false;
     const sim::SensorFrame f = lane.walker.step(lane.gps);
-    const core::EpochDecision dec = lane.uniloc.update_fast(f, lane.scratch);
+    const core::EpochDecision& dec = lane.uniloc.update_fast(f, scratch);
     lane.gps = lane.uniloc.gps_enabled();
-    lane.fixes.push_back(dec.uniloc2);
+    lane.fixes.push_back({dec.uniloc1, dec.uniloc2, dec.tau, dec.selected,
+                          dec.confidence, dec.weight, dec.gps_enable_next});
     return true;
   };
 
-  // Solo passes.
-  auto solo_a = make_lane(0, 7);
-  auto solo_b = make_lane(1, 8);
-  solo_a->uniloc.reset(
-      {solo_a->walker.start_position(), solo_a->walker.start_heading()});
-  solo_b->uniloc.reset(
-      {solo_b->walker.start_position(), solo_b->walker.start_heading()});
-  while (step(*solo_a)) {
-  }
-  while (step(*solo_b)) {
+  // Solo passes: each session on an arena of its own.
+  std::vector<std::unique_ptr<Lane>> solo, shared;
+  for (std::size_t k = 0; k <= paths; ++k) {
+    solo.push_back(make_lane(k));
+    core::EpochScratch own;
+    while (step(*solo.back(), own)) {
+    }
   }
 
-  // Interleaved pass: A, B, A, B, ... against the same live deployment.
-  auto il_a = make_lane(0, 7);
-  auto il_b = make_lane(1, 8);
-  il_a->uniloc.reset(
-      {il_a->walker.start_position(), il_a->walker.start_heading()});
-  il_b->uniloc.reset(
-      {il_b->walker.start_position(), il_b->walker.start_heading()});
-  bool more = true;
-  while (more) {
+  // Shared pass: every session round-robin through one arena.
+  core::EpochScratch arena;
+  for (std::size_t k = 0; k <= paths; ++k) shared.push_back(make_lane(k));
+  for (bool more = true; more;) {
     more = false;
-    more |= step(*il_a);
-    more |= step(*il_b);
+    for (const std::unique_ptr<Lane>& lane : shared) {
+      more |= step(*lane, arena);
+    }
   }
 
-  ASSERT_EQ(il_a->fixes.size(), solo_a->fixes.size());
-  ASSERT_EQ(il_b->fixes.size(), solo_b->fixes.size());
-  for (std::size_t e = 0; e < solo_a->fixes.size(); ++e) {
-    EXPECT_EQ(il_a->fixes[e].x, solo_a->fixes[e].x) << "A epoch " << e;
-    EXPECT_EQ(il_a->fixes[e].y, solo_a->fixes[e].y) << "A epoch " << e;
+  for (std::size_t k = 0; k <= paths; ++k) {
+    ASSERT_EQ(shared[k]->fixes.size(), solo[k]->fixes.size()) << "lane " << k;
+    for (std::size_t e = 0; e < solo[k]->fixes.size(); ++e) {
+      expect_same_fix(shared[k]->fixes[e], solo[k]->fixes[e],
+                      "lane " + std::to_string(k) + " epoch " +
+                          std::to_string(e));
+    }
   }
-  for (std::size_t e = 0; e < solo_b->fixes.size(); ++e) {
-    EXPECT_EQ(il_b->fixes[e].x, solo_b->fixes[e].x) << "B epoch " << e;
-    EXPECT_EQ(il_b->fixes[e].y, solo_b->fixes[e].y) << "B epoch " << e;
+}
+
+// ------------------------------------------- arena lifetime contracts
+
+TEST(PerfContracts, EpochArenaRecyclesMemoSlotsAcrossDeployments) {
+  // An arena outlives deployments (a service worker serves whatever
+  // arrives; the property-test harness builds a deployment per case), so
+  // memo slots must not stay bound to databases of earlier epochs. Three
+  // deployments -- six databases, more than the four memo slots -- take
+  // turns on one arena; every query must still be served by the shared
+  // memo, never by a scheme's private unmemoized scratch.
+  std::vector<core::Deployment> deployments;
+  for (std::uint64_t seed : {42u, 43u, 44u}) {
+    deployments.push_back(core::make_deployment(
+        sim::office_place(seed), core::DeploymentOptions{.seed = seed}));
+  }
+  core::EpochScratch arena;
+  for (int round = 0; round < 2; ++round) {
+    for (const core::Deployment& d : deployments) {
+      core::Uniloc uniloc = core::make_uniloc(d, test_models());
+      sim::Walker walker(d.place.get(), d.radio.get(), 0, sim::WalkConfig{});
+      uniloc.reset({walker.start_position(), walker.start_heading()});
+      const std::uint64_t memo_queries =
+          arena.cache_hits() + arena.cache_misses();
+      for (int e = 0; e < 10 && !walker.done(); ++e) {
+        uniloc.update_fast(walker.step(uniloc.gps_enabled()), arena);
+      }
+      EXPECT_EQ(uniloc.scheme_cache_hits() + uniloc.scheme_cache_misses(),
+                0u)
+          << "a scheme fell back to its private scratch";
+      EXPECT_GT(arena.cache_hits() + arena.cache_misses(), memo_queries);
+    }
+  }
+}
+
+TEST(PerfContracts, UpdateFastLeavesNoDanglingEpochContext) {
+  // A worker's arena dies with its thread while the sessions it served
+  // live on. update_fast installs the arena's epoch context into the
+  // schemes for the epoch only, so after the arena is gone a direct
+  // update_into must run on the scheme's private scratch -- not read the
+  // freed memo (the ASan tier reports that as a use-after-free).
+  const core::Deployment& d = testing_util::office_deployment();
+  core::Uniloc uniloc(core::UnilocConfig{.place = d.place.get(),
+                                         .wifi_db = d.wifi_db.get(),
+                                         .cell_db = d.cell_db.get()});
+  std::vector<schemes::LocalizationScheme*> raw;
+  for (schemes::SchemePtr& s : core::make_standard_schemes(d)) {
+    raw.push_back(s.get());
+    const schemes::SchemeFamily f = s->family();
+    uniloc.add_scheme(std::move(s), test_models().for_family(f));
+  }
+  sim::Walker walker(d.place.get(), d.radio.get(), 0, sim::WalkConfig{});
+  uniloc.reset({walker.start_position(), walker.start_heading()});
+  {
+    auto arena = std::make_unique<core::EpochScratch>();
+    uniloc.update_fast(walker.step(uniloc.gps_enabled()), *arena);
+  }
+  ASSERT_EQ(uniloc.scheme_cache_hits() + uniloc.scheme_cache_misses(), 0u);
+
+  const sim::SensorFrame frame = walker.step(uniloc.gps_enabled());
+  ASSERT_FALSE(frame.wifi.empty());
+  for (schemes::LocalizationScheme* s : raw) {
+    const schemes::SchemeFamily f = s->family();
+    if (f != schemes::SchemeFamily::kWifiFingerprint &&
+        f != schemes::SchemeFamily::kFusion) {
+      continue;
+    }
+    schemes::SchemeOutput out;
+    s->update_into(frame, out);
+    EXPECT_EQ(s->cache_hits() + s->cache_misses(), 1u)
+        << s->name() << " did not query through its private scratch";
   }
 }
 

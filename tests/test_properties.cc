@@ -105,31 +105,33 @@ TEST_P(PfConvergence, TracksStraightWalkUnderObservations) {
   // Property: with periodic position observations, the cloud mean stays
   // within a few meters of the truth for any seed.
   filter::ParticleFilter pf(400, stats::Rng(GetParam()));
+  filter::KernelScratch scratch;
   pf.init({0.0, 0.0}, 0.0, 0.5, 0.05, 0.05);
   geo::Vec2 truth{0.0, 0.0};
   for (int step = 1; step <= 100; ++step) {
     truth += {0.7, 0.0};
-    pf.predict(0.7, 0.0, 0.1, 0.02);
+    pf.predict(0.7, 0.0, 0.1, 0.02, scratch);
     if (step % 5 == 0) {
       pf.reweight([&](const filter::Particle& p) {
         return stats::normal_pdf(geo::distance(p.pos, truth) / 2.0) + 1e-9;
       });
     }
-    pf.resample();
+    pf.resample(scratch);
   }
   EXPECT_LT(geo::distance(pf.mean(), truth), 3.0);
 }
 
 TEST_P(PfConvergence, WeightsAlwaysNormalizable) {
   filter::ParticleFilter pf(100, stats::Rng(GetParam() + 7));
+  filter::KernelScratch scratch;
   pf.init({0.0, 0.0}, 0.0, 1.0, 0.1, 0.0);
   stats::Rng rng(GetParam());
   for (int i = 0; i < 50; ++i) {
-    pf.predict(0.7, rng.normal(0.0, 0.1), 0.1, 0.05);
+    pf.predict(0.7, rng.normal(0.0, 0.1), 0.1, 0.05, scratch);
     pf.reweight([&](const filter::Particle&) {
       return rng.uniform(0.0, 1.0) < 0.1 ? 0.0 : rng.uniform(0.0, 1.0);
     });
-    pf.resample();
+    pf.resample(scratch);
     double sum = 0.0;
     for (std::size_t k = 0; k < pf.size(); ++k) sum += pf.weight(k);
     EXPECT_NEAR(sum, 1.0, 1e-6);

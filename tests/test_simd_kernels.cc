@@ -172,18 +172,19 @@ TEST(PredictKernel, VectorEqualsScalarAtEveryTailSize) {
   for (const std::size_t n : kTailSizes) {
     filter::ParticleFilter vec(n, /*seed=*/77);
     filter::ParticleFilter ref(n, /*seed=*/77);
+    filter::KernelScratch scratch;
     {
       const stats::ScopedSimd on(true);
       vec.init({3.0, 4.0}, 0.7, 1.0, 0.3, 0.05);
       for (int step = 0; step < 20; ++step) {
-        vec.predict(0.7, 0.1 * step, 0.07, 0.12);
+        vec.predict(0.7, 0.1 * step, 0.07, 0.12, scratch);
       }
     }
     {
       const stats::ScopedSimd off(false);
       ref.init({3.0, 4.0}, 0.7, 1.0, 0.3, 0.05);
       for (int step = 0; step < 20; ++step) {
-        ref.predict(0.7, 0.1 * step, 0.07, 0.12);
+        ref.predict(0.7, 0.1 * step, 0.07, 0.12, scratch);
       }
     }
     for (std::size_t i = 0; i < n; ++i) {
@@ -200,8 +201,9 @@ TEST(PredictKernel, ZeroStepAndZeroNoiseIsStationaryInX) {
   for (const bool simd : {true, false}) {
     const stats::ScopedSimd mode(simd);
     filter::ParticleFilter f(5, /*seed=*/3);
+    filter::KernelScratch scratch;
     f.init({1.0, 2.0}, 0.0, 0.0, 0.0, 0.0);
-    f.predict(0.0, 0.0, 0.0, 0.0);
+    f.predict(0.0, 0.0, 0.0, 0.0, scratch);
     for (std::size_t i = 0; i < f.size(); ++i) {
       EXPECT_EQ(f.pos(i).x, 1.0);
       EXPECT_EQ(f.pos(i).y, 2.0);
@@ -239,7 +241,8 @@ TEST(ReweightArray, AllZeroLikelihoodsResetToUniform) {
     EXPECT_EQ(f.weight(i), 1.0 / 7.0);
   }
   // The degenerate cloud resamples without collapsing or crashing.
-  f.resample(1.0);
+  filter::KernelScratch scratch;
+  f.resample(scratch, 1.0);
   EXPECT_NEAR(f.effective_sample_size(), 7.0, 1e-9);
 }
 
@@ -276,7 +279,8 @@ TEST(Resample, SystematicCopyCountsTrackWeightsWithinOne) {
   std::vector<double> like(n);
   for (std::size_t i = 0; i < n; ++i) like[i] = static_cast<double>(i + 1);
   f.reweight_array(like.data());
-  f.resample(1.0);
+  filter::KernelScratch scratch;
+  f.resample(scratch, 1.0);
 
   // Map each survivor back to its ancestor and count the copies.
   std::unordered_map<double, std::size_t> index_of;

@@ -858,6 +858,28 @@ TEST(Server, ThreadedResultsMatchInlineRun) {
             threaded.total_epochs);
 }
 
+TEST(Server, ArenaCacheCountsDoNotDependOnWhichThreadServes) {
+  // Sessions hold state, threads hold scratch: an epoch runs on the epoch
+  // arena of whichever thread serves it, and perf.cache_* count each
+  // epoch's likelihood-cache queries as the counters' growth across that
+  // epoch. The totals must be the same whether one thread serves every
+  // session inline or four workers take them in any order.
+  ServerFixture fx;
+  obs::MetricsRegistry inline_reg, threaded_reg;
+  const LoadReport inline_run =
+      run_fleet(fx, /*workers=*/0, /*walkers=*/6, &inline_reg);
+  const LoadReport threaded =
+      run_fleet(fx, /*workers=*/4, /*walkers=*/6, &threaded_reg);
+  ASSERT_EQ(threaded.total_epochs, inline_run.total_epochs);
+
+  const std::uint64_t hits = inline_reg.counter("perf.cache_hits").value();
+  EXPECT_GT(hits, 0u);
+  EXPECT_EQ(threaded_reg.counter("perf.cache_hits").value(), hits);
+  EXPECT_EQ(inline_reg.counter("perf.cache_misses").value(), 0u);
+  EXPECT_EQ(threaded_reg.counter("perf.cache_misses").value(), 0u);
+  EXPECT_GT(threaded_reg.gauge("perf.scratch_bytes").value(), 0.0);
+}
+
 TEST(LoadGen, ChargesWireBytesIntoOffloadCounters) {
   ServerFixture fx;
   obs::MetricsRegistry reg;
