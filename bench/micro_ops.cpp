@@ -2,8 +2,13 @@
 // error prediction, confidence, BMA weighting, fingerprint matching,
 // particle-filter update, posterior mixing. These are the numbers behind
 // Table V's "light-weight computation" claim -- everything UniLoc adds is
-// simple linear calculation.
+// simple linear calculation. The checkpoint rows at the end price one
+// session's share of a delta wave layer by layer: engine draws, engine
+// snapshot/restore, the wave CRC, and a whole quantized session record.
 #include <benchmark/benchmark.h>
+
+#include <random>
+#include <vector>
 
 #include "core/confidence.h"
 #include "core/deployment.h"
@@ -15,11 +20,14 @@
 #include "filter/particle_filter.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "offload/bytes.h"
+#include "offload/crc32.h"
 #include "schemes/fingerprint_db.h"
 #include "schemes/horus_scheme.h"
 #include "sim/floorplan.h"
 #include "stats/gaussian.h"
 #include "stats/regression.h"
+#include "stats/rng_codec.h"
 
 using namespace uniloc;
 
@@ -382,6 +390,82 @@ void BM_WallCrossingQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WallCrossingQuery);
+
+// --- checkpoint layers: one dirty session's share of a delta wave -------
+
+template <typename Engine>
+void BM_EngineDraw(benchmark::State& state) {
+  Engine engine(7);
+  for (auto _ : state) benchmark::DoNotOptimize(engine());
+}
+BENCHMARK_TEMPLATE(BM_EngineDraw, std::mt19937_64);
+BENCHMARK_TEMPLATE(BM_EngineDraw, stats::Mt19937_64);
+
+stats::Mt19937_64 mid_stream_engine() {
+  stats::Mt19937_64 engine(7);
+  for (int i = 0; i < 1000; ++i) engine();
+  return engine;
+}
+
+void BM_EngineSnapshot(benchmark::State& state) {
+  const stats::Mt19937_64 engine = mid_stream_engine();
+  for (auto _ : state) {
+    offload::ByteWriter w;
+    stats::snapshot_engine(engine, w);
+    benchmark::DoNotOptimize(w.bytes().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_EngineSnapshot);
+
+void BM_EngineRestore(benchmark::State& state) {
+  offload::ByteWriter w;
+  stats::snapshot_engine(mid_stream_engine(), w);
+  const std::vector<std::uint8_t> bytes = w.take();
+  stats::Mt19937_64 engine;
+  for (auto _ : state) {
+    offload::ByteReader r(bytes);
+    benchmark::DoNotOptimize(stats::restore_engine(engine, r));
+    benchmark::DoNotOptimize(engine.state.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_EngineRestore);
+
+void BM_Crc32(benchmark::State& state) {
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(state.range(0)));
+  std::mt19937_64 rng(5);
+  for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(offload::crc32(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+// 11388 B is one quantized campus session record.
+BENCHMARK(BM_Crc32)->Arg(11388);
+
+void BM_SessionSnapshotQuantized(benchmark::State& state) {
+  // One warm campus session, serialized with the durable-wave codec the
+  // way a delta wave serializes each dirty session.
+  const ReplayFixture& fx = campus_frames();
+  core::Uniloc uniloc = core::make_uniloc(campus_deployment(), models());
+  core::EpochScratch scratch;
+  uniloc.reset({fx.start_pos, fx.start_heading});
+  for (std::size_t i = 0; i < fx.frames.size() && i < 60; ++i) {
+    uniloc.update_fast(fx.frames[i], scratch);
+  }
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    offload::ByteWriter w;
+    uniloc.snapshot_into(w, /*quantize=*/true);
+    bytes = w.size();
+    benchmark::DoNotOptimize(w.bytes().data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_SessionSnapshotQuantized)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -274,14 +274,14 @@ bool ParticleFilter::restore_from(offload::ByteReader& r) {
       if (!r.get_f64(arr[i])) return false;
     }
   }
-  std::mt19937_64 engine;
-  if (!stats::restore_engine(engine, r)) return false;
+  // The engine is the last field, and restore_engine writes only on
+  // success, so nothing below can fail once the engine has changed.
+  if (!stats::restore_engine(rng_.engine(), r)) return false;
   px_ = std::move(arrays[0]);
   py_ = std::move(arrays[1]);
   heading_ = std::move(arrays[2]);
   scale_ = std::move(arrays[3]);
   weight_ = std::move(arrays[4]);
-  rng_.engine() = engine;
   return true;
 }
 
@@ -411,14 +411,12 @@ bool ParticleFilter::restore_from_quantized(offload::ByteReader& r) {
     nw[i] = w_max > 0.0 ? (static_cast<double>(q) / 65535.0) * w_max
                         : 1.0 / static_cast<double>(n);
   }
-  std::mt19937_64 engine;
-  if (!stats::restore_engine(engine, r)) return false;
+  if (!stats::restore_engine(rng_.engine(), r)) return false;  // last field
   px_ = std::move(nx);
   py_ = std::move(ny);
   heading_ = std::move(nh);
   scale_ = std::move(ns);
   weight_ = std::move(nw);
-  rng_.engine() = engine;
   return true;
 }
 

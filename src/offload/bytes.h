@@ -6,6 +6,8 @@
 // hostile buffer can only produce a clean parse error, never UB. Checked
 // by the malformed-input tests in tests/test_offload.cc and
 // tests/test_svc.cc.
+//
+// Scalars move with one memcpy each: the host byte order is the wire's.
 #pragma once
 
 #include <bit>
@@ -16,6 +18,9 @@
 #include <vector>
 
 namespace uniloc::offload {
+
+static_assert(std::endian::native == std::endian::little,
+              "the byte cursors copy scalars in host byte order");
 
 class ByteWriter {
  public:
@@ -38,10 +43,7 @@ class ByteWriter {
   /// Overwrite `width` bytes at `pos` (little-endian) -- for length
   /// fields written after the payload they describe.
   void patch_u32(std::size_t pos, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      buf_[pos + static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(v >> (8 * i));
-    }
+    std::memcpy(buf_.data() + pos, &v, sizeof(v));
   }
 
   std::size_t size() const { return buf_.size(); }
@@ -51,9 +53,9 @@ class ByteWriter {
  private:
   template <typename T>
   void put_le(T v) {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
+    const std::size_t at = buf_.size();
+    buf_.resize(at + sizeof(T));
+    std::memcpy(buf_.data() + at, &v, sizeof(T));
   }
 
   std::vector<std::uint8_t> buf_;
@@ -100,6 +102,14 @@ class ByteReader {
     return true;
   }
 
+  /// Counterpart of put_bytes: copies the next `n` bytes into `out`.
+  bool get_bytes(std::uint8_t* out, std::size_t n) {
+    if (remaining() < n) return false;
+    std::memcpy(out, data_ + pos_, n);
+    pos_ += n;
+    return true;
+  }
+
   std::size_t remaining() const { return size_ - pos_; }
   std::size_t pos() const { return pos_; }
   bool skip(std::size_t n) {
@@ -111,14 +121,7 @@ class ByteReader {
  private:
   template <typename T>
   bool get_le(T& v) {
-    if (remaining() < sizeof(T)) return false;
-    T out = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      out |= static_cast<T>(static_cast<T>(data_[pos_ + i]) << (8 * i));
-    }
-    v = out;
-    pos_ += sizeof(T);
-    return true;
+    return get_bytes(reinterpret_cast<std::uint8_t*>(&v), sizeof(T));
   }
 
   const std::uint8_t* data_;

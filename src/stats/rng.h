@@ -6,6 +6,8 @@
 // field.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 
@@ -29,13 +31,51 @@ constexpr double hash_to_unit(std::uint64_t h) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
+/// MT19937-64 with its state in plain members. [rand.eng.mers] fixes the
+/// seeding, the twist and the tempering, so the stream is bit-identical
+/// to the standard library's mt19937_64, and `state` + `pos` are exactly
+/// the 313 words of that engine's textual representation. The snapshot
+/// codec (stats/rng_codec.h) copies them directly. A uniform random bit
+/// generator: the std distributions and std::shuffle accept it.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr std::size_t state_size = 312;
+  static constexpr result_type default_seed = 5489u;
+
+  explicit Mt19937_64(result_type seed = default_seed);
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  result_type operator()() {
+    if (pos >= state_size) twist();
+    result_type z = state[pos++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+    z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+  friend bool operator==(const Mt19937_64&, const Mt19937_64&) = default;
+
+  /// Untempered state words; the next draw tempers state[pos].
+  std::array<result_type, state_size> state;
+  /// Read position in [0, state_size]; state_size means "twist first".
+  std::uint64_t pos;
+
+ private:
+  /// Regenerates all 312 words in one pass and rewinds pos.
+  void twist();
+};
+
 /// Seeded mersenne-twister engine wrapper with convenience draws.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : engine_(seed) {}
 
-  std::mt19937_64& engine() { return engine_; }
-  const std::mt19937_64& engine() const { return engine_; }
+  Mt19937_64& engine() { return engine_; }
+  const Mt19937_64& engine() const { return engine_; }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo = 0.0, double hi = 1.0) {
@@ -63,7 +103,7 @@ class Rng {
   }
 
  private:
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 }  // namespace uniloc::stats

@@ -1,57 +1,50 @@
-// Binary snapshot codec for the mt19937_64 engines hoisted into the
+// Binary snapshot codec for the MT19937-64 engines hoisted into the
 // filters.
 //
-// The standard guarantees an engine round-trips through its textual
-// stream representation (a whitespace-separated list of decimal words:
-// the 312 state words followed by the read position). We re-encode those
-// tokens as fixed-width little-endian u64s -- ~2.5 KB per engine instead
-// of ~7 KB of ASCII -- and validate on restore: the token count must be
-// exactly state_size + 1 and the position token must not index past the
-// state array, so a bit-flipped snapshot is rejected instead of leaving
-// the engine reading out of bounds.
+// The record is the engine's textual-representation state -- the 312
+// state words, then the read position -- as little-endian u64s behind a
+// u32 token count of 313: 2508 bytes, copied straight out of and into
+// the engine's members (stats/rng.h). These are the bytes an earlier
+// codec made by printing the standard library's mt19937_64 and
+// re-tokenizing the text, so checkpoints written by either codec restore
+// into the other. Restore validates before it writes: the count must be
+// exactly 313 and the position must not index past the state array, so
+// a truncated or bit-flipped snapshot is rejected and leaves the engine
+// untouched.
 #pragma once
 
-#include <random>
-#include <sstream>
-#include <vector>
+#include <array>
+#include <cstdint>
 
 #include "offload/bytes.h"
+#include "stats/rng.h"
 
 namespace uniloc::stats {
 
-inline void snapshot_engine(const std::mt19937_64& engine,
+inline constexpr std::uint32_t kEngineTokens = Mt19937_64::state_size + 1;
+
+inline void snapshot_engine(const Mt19937_64& engine,
                             offload::ByteWriter& w) {
-  std::ostringstream os;
-  os << engine;
-  std::istringstream is(os.str());
-  std::vector<std::uint64_t> tokens;
-  std::uint64_t t;
-  while (is >> t) tokens.push_back(t);
-  w.put_u32(static_cast<std::uint32_t>(tokens.size()));
-  for (const std::uint64_t token : tokens) w.put_u64(token);
+  w.put_u32(kEngineTokens);
+  w.put_bytes(reinterpret_cast<const std::uint8_t*>(engine.state.data()),
+              sizeof(engine.state));
+  w.put_u64(engine.pos);
 }
 
-inline bool restore_engine(std::mt19937_64& engine, offload::ByteReader& r) {
-  constexpr std::size_t kTokens = std::mt19937_64::state_size + 1;
-  std::uint32_t count;
-  if (!r.get_u32(count) || count != kTokens) return false;
-  std::ostringstream os;
-  std::uint64_t last = 0;
-  for (std::size_t i = 0; i < kTokens; ++i) {
-    std::uint64_t token;
-    if (!r.get_u64(token)) return false;
-    if (i > 0) os << ' ';
-    os << token;
-    last = token;
+inline bool restore_engine(Mt19937_64& engine, offload::ByteReader& r) {
+  std::uint32_t count = 0;
+  if (!r.get_u32(count) || count != kEngineTokens) return false;
+  std::array<std::uint64_t, Mt19937_64::state_size> state{};
+  std::uint64_t pos = 0;
+  if (!r.get_bytes(reinterpret_cast<std::uint8_t*>(state.data()),
+                   sizeof(state)) ||
+      !r.get_u64(pos)) {
+    return false;
   }
-  // The final token is the read position; past-the-end would make the
-  // next draw index out of bounds inside the engine.
-  if (last > std::mt19937_64::state_size) return false;
-  std::istringstream is(os.str());
-  std::mt19937_64 restored;
-  is >> restored;
-  if (is.fail()) return false;
-  engine = restored;
+  // Past-the-end would make the next draw index out of bounds.
+  if (pos > Mt19937_64::state_size) return false;
+  engine.state = state;
+  engine.pos = pos;
   return true;
 }
 

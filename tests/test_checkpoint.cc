@@ -22,6 +22,7 @@
 #include <filesystem>
 #include <memory>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -99,7 +100,7 @@ void expect_identical_reports(const svc::LoadReport& ref,
 // ------------------------------------------------------------ codec units
 
 TEST(RngCodec, EngineRoundTripContinuesStreamExactly) {
-  std::mt19937_64 original(12345);
+  stats::Mt19937_64 original(12345);
   for (int i = 0; i < 1000; ++i) original();  // mid-stream position
 
   offload::ByteWriter w;
@@ -107,7 +108,7 @@ TEST(RngCodec, EngineRoundTripContinuesStreamExactly) {
   const std::vector<std::uint8_t> bytes = w.take();
 
   offload::ByteReader r(bytes.data(), bytes.size());
-  std::mt19937_64 restored;
+  stats::Mt19937_64 restored;
   ASSERT_TRUE(stats::restore_engine(restored, r));
   EXPECT_EQ(r.remaining(), 0u);
   for (int i = 0; i < 5000; ++i) {
@@ -116,26 +117,90 @@ TEST(RngCodec, EngineRoundTripContinuesStreamExactly) {
 }
 
 TEST(RngCodec, RejectsWrongTokenCountAndHostilePosition) {
-  constexpr std::size_t kState = std::mt19937_64::state_size;
-  std::mt19937_64 engine(1);
-  {
+  // Every rejected record must leave the engine as it was: the filters
+  // restore straight into their live engines.
+  constexpr std::size_t kState = stats::Mt19937_64::state_size;
+  const auto record = [](std::size_t count, std::uint64_t pos) {
     offload::ByteWriter w;
-    w.put_u32(static_cast<std::uint32_t>(kState));  // one token short
-    for (std::size_t i = 0; i < kState; ++i) w.put_u64(0);
-    const std::vector<std::uint8_t> bytes = w.take();
-    offload::ByteReader r(bytes.data(), bytes.size());
-    EXPECT_FALSE(stats::restore_engine(engine, r));
+    w.put_u32(static_cast<std::uint32_t>(count));
+    for (std::size_t i = 0; i < kState; ++i) w.put_u64(i * 7 + 3);
+    w.put_u64(pos);
+    return w.take();
+  };
+  stats::Mt19937_64 engine(1);
+  for (int i = 0; i < 100; ++i) engine();
+  const stats::Mt19937_64 before = engine;
+  const auto expect_rejected = [&](const std::vector<std::uint8_t>& bytes,
+                                   std::size_t n, const std::string& what) {
+    offload::ByteReader r(bytes.data(), n);
+    EXPECT_FALSE(stats::restore_engine(engine, r)) << what;
+    EXPECT_TRUE(engine == before) << what << " changed the engine";
+  };
+  for (const std::size_t count : {kState, kState + 2}) {
+    const std::vector<std::uint8_t> bytes = record(count, 5);
+    expect_rejected(bytes, bytes.size(), "count " + std::to_string(count));
   }
-  {
-    // A hostile read-position token past the state array: accepting it
-    // would make the engine index out of bounds on the next draw.
+  // A read position past the state array would make the engine index
+  // out of bounds on the next draw.
+  for (const std::uint64_t pos : {kState + 1, ~std::size_t{0}}) {
+    const std::vector<std::uint8_t> bytes = record(kState + 1, pos);
+    expect_rejected(bytes, bytes.size(), "position " + std::to_string(pos));
+  }
+  const std::vector<std::uint8_t> valid = record(kState + 1, kState);
+  for (std::size_t n = 0; n < valid.size(); ++n) {
+    expect_rejected(valid, n, "truncated to " + std::to_string(n));
+  }
+  // Position state_size is the engine's own "twist first" state.
+  offload::ByteReader r(valid.data(), valid.size());
+  ASSERT_TRUE(stats::restore_engine(engine, r));
+  EXPECT_EQ(engine.pos, kState);
+  EXPECT_EQ(engine.state[kState - 1], (kState - 1) * 7 + 3);
+}
+
+// The engine record as the iostream codec wrote it, kept as the
+// compatibility oracle: print a std::mt19937_64, re-encode each decimal
+// token as a u64 behind a u32 token count.
+std::vector<std::uint8_t> std_engine_record(const std::mt19937_64& engine) {
+  std::ostringstream os;
+  os << engine;
+  std::istringstream is(os.str());
+  std::vector<std::uint64_t> tokens;
+  for (std::uint64_t t; is >> t;) tokens.push_back(t);
+  offload::ByteWriter w;
+  w.put_u32(static_cast<std::uint32_t>(tokens.size()));
+  for (const std::uint64_t t : tokens) w.put_u64(t);
+  return w.take();
+}
+
+TEST(RngCodec, SnapshotBytesEqualTheStdEngineTextTokens) {
+  // Fresh (position 312), one draw in (position 1 after the first
+  // twist), and mid-stream positions across several twists.
+  for (const int draws : {0, 1, 311, 312, 313, 1000, 4097}) {
+    std::mt19937_64 oracle(77);
+    stats::Mt19937_64 engine(77);
+    for (int i = 0; i < draws; ++i) {
+      oracle();
+      engine();
+    }
     offload::ByteWriter w;
-    w.put_u32(static_cast<std::uint32_t>(kState + 1));
-    for (std::size_t i = 0; i < kState; ++i) w.put_u64(i + 1);
-    w.put_u64(kState + 100);
+    stats::snapshot_engine(engine, w);
     const std::vector<std::uint8_t> bytes = w.take();
-    offload::ByteReader r(bytes.data(), bytes.size());
-    EXPECT_FALSE(stats::restore_engine(engine, r));
+    EXPECT_EQ(bytes.size(), 2508u);
+    EXPECT_EQ(bytes, std_engine_record(oracle)) << draws << " draws";
+  }
+}
+
+TEST(RngCodec, StdEngineBytesRestoreAndContinueTheStdStream) {
+  // Checkpoint files written before the in-tree engine stay readable.
+  std::mt19937_64 oracle(2024);
+  for (int i = 0; i < 777; ++i) oracle();
+  const std::vector<std::uint8_t> bytes = std_engine_record(oracle);
+  offload::ByteReader r(bytes.data(), bytes.size());
+  stats::Mt19937_64 restored;
+  ASSERT_TRUE(stats::restore_engine(restored, r));
+  EXPECT_EQ(r.remaining(), 0u);
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_EQ(restored(), oracle()) << "draw " << i;
   }
 }
 

@@ -1,6 +1,6 @@
-// Durable delta-checkpoint suite: wave codec, chain collapse, torn-write
-// fault injection, the async group committer, and the quantized particle
-// codec (snapshot version 2).
+// Durable delta-checkpoint suite: the wave CRC, wave codec, chain
+// collapse, torn-write fault injection, the async group committer, and
+// the quantized particle codec (snapshot version 2).
 //
 // The load-bearing claims pinned here:
 //   * a chain (keyframe + deltas of dirty sessions only) collapses to
@@ -38,6 +38,7 @@
 #include "filter/particle_filter.h"
 #include "geo/bbox.h"
 #include "offload/bytes.h"
+#include "offload/crc32.h"
 #include "sim/builders.h"
 #include "sim/virtual_clock.h"
 #include "svc/checkpoint.h"
@@ -108,6 +109,60 @@ struct TempDir {
   }
   ~TempDir() { std::filesystem::remove_all(path); }
 };
+
+// ------------------------------------------------------------------ crc32
+
+/// Bit-at-a-time CRC-32 straight from the reflected polynomial: the oracle
+/// the table-driven crc32 must agree with.
+std::uint32_t crc32_oracle(const std::uint8_t* data, std::size_t n) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::uint8_t> crc_test_bytes(std::size_t n) {
+  std::vector<std::uint8_t> bytes(n);
+  std::mt19937_64 rng(31);
+  for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng());
+  return bytes;
+}
+
+TEST(Crc32, KnownAnswers) {
+  const std::string check = "123456789";
+  EXPECT_EQ(offload::crc32(reinterpret_cast<const std::uint8_t*>(check.data()),
+                           check.size()),
+            0xCBF43926u);
+  EXPECT_EQ(offload::crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32, ChainsAtEverySplit) {
+  const std::vector<std::uint8_t> bytes = crc_test_bytes(300);
+  const std::uint32_t whole = offload::crc32(bytes.data(), bytes.size());
+  for (std::size_t k = 0; k <= bytes.size(); ++k) {
+    EXPECT_EQ(offload::crc32(bytes.data() + k, bytes.size() - k,
+                             offload::crc32(bytes.data(), k)),
+              whole)
+        << "split at " << k;
+  }
+}
+
+TEST(Crc32, MatchesBitwiseOracleAtEveryLengthAndAlignment) {
+  // Lengths 0-64 from start offsets 0-7 cover every tail length after
+  // the eight-byte blocks, at every alignment of the block loads.
+  const std::vector<std::uint8_t> bytes = crc_test_bytes(64 + 8);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t n = 0; n <= 64; ++n) {
+      EXPECT_EQ(offload::crc32(bytes.data() + offset, n),
+                crc32_oracle(bytes.data() + offset, n))
+          << "offset " << offset << " length " << n;
+    }
+  }
+}
 
 // ------------------------------------------------------------- wave codec
 

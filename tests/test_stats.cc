@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
+#include <random>
+#include <vector>
 
 #include "stats/descriptive.h"
 #include "stats/ecdf.h"
@@ -195,6 +200,81 @@ TEST(Rng, SplitmixAvalanche) {
   // Adjacent inputs produce very different outputs.
   EXPECT_NE(splitmix64(1) >> 32, splitmix64(2) >> 32);
   EXPECT_NE(splitmix64(0), 0u);
+}
+
+// --- the in-tree MT19937-64 against std::mt19937_64 --------------------
+//
+// std::mt19937_64 is the test-only oracle: checkpoints, goldens and every
+// seeded stream in the tree were made with it, so the in-tree engine must
+// reproduce its stream word for word.
+
+std::vector<std::uint64_t> identity_seeds() {
+  std::vector<std::uint64_t> seeds = {0u, 1u, 5489u, std::uint64_t{1} << 32,
+                                      ~std::uint64_t{0}};
+  for (std::uint64_t i = 0; i < 20; ++i) seeds.push_back(splitmix64(i));
+  return seeds;
+}
+
+TEST(Mt19937_64, MatchesStdEngineAcrossSeedsAndTwists) {
+  // 1e5 draws cross ~320 twists per seed.
+  for (const std::uint64_t seed : identity_seeds()) {
+    std::mt19937_64 oracle(seed);
+    Mt19937_64 engine(seed);
+    for (int i = 0; i < 100000; ++i) {
+      ASSERT_EQ(engine(), oracle()) << "seed " << seed << " draw " << i;
+    }
+  }
+  std::mt19937_64 oracle;
+  Mt19937_64 engine;
+  EXPECT_EQ(engine(), oracle()) << "default seed";
+  static_assert(Mt19937_64::min() == std::mt19937_64::min());
+  static_assert(Mt19937_64::max() == std::mt19937_64::max());
+  static_assert(Mt19937_64::state_size == std::mt19937_64::state_size);
+}
+
+/// stats::Rng's draws written out over std::mt19937_64.
+struct StdBackedRng {
+  explicit StdBackedRng(std::uint64_t seed) : engine(seed) {}
+  double uniform(double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(engine);
+  }
+  double normal(double mean, double sd) {
+    return std::normal_distribution<double>(mean, sd)(engine);
+  }
+  int uniform_int(int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(engine);
+  }
+  bool chance(double p) { return std::bernoulli_distribution(p)(engine); }
+  StdBackedRng fork(std::uint64_t id) {
+    return StdBackedRng(hash_combine(engine(), id));
+  }
+  std::mt19937_64 engine;
+};
+
+TEST(Mt19937_64, RngDrawsMatchAStdEngineBackedCopy) {
+  for (const std::uint64_t seed : identity_seeds()) {
+    Rng rng(seed);
+    StdBackedRng oracle(seed);
+    for (int i = 0; i < 2000; ++i) {
+      // EXPECT_EQ, not EXPECT_DOUBLE_EQ: the contract is bit identity.
+      ASSERT_EQ(rng.uniform(-3.0, 7.0), oracle.uniform(-3.0, 7.0)) << i;
+      ASSERT_EQ(rng.normal(1.5, 0.25), oracle.normal(1.5, 0.25)) << i;
+      ASSERT_EQ(rng.uniform_int(-5, 1000), oracle.uniform_int(-5, 1000)) << i;
+      ASSERT_EQ(rng.chance(0.3), oracle.chance(0.3)) << i;
+      if (i % 100 == 0) {
+        Rng child = rng.fork(static_cast<std::uint64_t>(i));
+        StdBackedRng oracle_child = oracle.fork(static_cast<std::uint64_t>(i));
+        ASSERT_EQ(child.normal(0.0, 1.0), oracle_child.normal(0.0, 1.0));
+      }
+    }
+    // std::shuffle draws through uniform_int_distribution<size_t>.
+    std::vector<int> a(257), b(257);
+    std::iota(a.begin(), a.end(), 0);
+    std::iota(b.begin(), b.end(), 0);
+    std::shuffle(a.begin(), a.end(), rng.engine());
+    std::shuffle(b.begin(), b.end(), oracle.engine);
+    EXPECT_EQ(a, b) << "seed " << seed;
+  }
 }
 
 }  // namespace
