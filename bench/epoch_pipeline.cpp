@@ -1,13 +1,10 @@
-// Fast-path epoch pipeline bench: reference Uniloc::update() vs the
-// zero-allocation Uniloc::update_fast() on identical recorded frames.
+// Epoch pipeline bench: the zero-allocation Uniloc::update_fast() on
+// recorded campus frames.
 //
 // Reports epochs/sec, per-epoch latency percentiles (p50/p99), the
-// likelihood-cache hit rate, and the steady-state scratch footprint --
-// the before/after evidence behind the fast path's throughput claim.
-// The differential suite (tests/test_differential.cc) proves the two
-// pipelines are bit-identical; this bench quantifies what the identity
-// buys. A third pass runs the fast path with live span tracing attached
-// and reports tracing_overhead_pct (contract: < 5% of epoch throughput).
+// likelihood-cache hit rate, and the steady-state scratch footprint. A
+// second pass runs with live span tracing attached and reports
+// tracing_overhead_pct (contract: < 5% of epoch throughput).
 #include <cstdio>
 #include <sstream>
 #include <vector>
@@ -48,12 +45,12 @@ struct PipelineStats {
   std::size_t scratch_bytes{0};
 };
 
-/// Replay `fx` through one pipeline `passes` times (resetting between
+/// Replay `fx` through the pipeline `passes` times (resetting between
 /// passes), timing every epoch individually. With a tracer, every epoch
 /// runs under an attached SpanTracer (one scheme span per registered
 /// scheme plus the fuse span, serialized to the tracer's sink).
 PipelineStats run_pipeline(const core::Deployment& d,
-                           const ReplayFixture& fx, bool fast, int passes,
+                           const ReplayFixture& fx, int passes,
                            obs::SpanTracer* tracer = nullptr) {
   core::Uniloc uniloc = core::make_uniloc(d, bench::standard_models());
   core::EpochScratch scratch;
@@ -63,11 +60,7 @@ PipelineStats run_pipeline(const core::Deployment& d,
   // the timed passes measure the regime the service actually runs in.
   uniloc.reset({fx.start_pos, fx.start_heading});
   for (const sim::SensorFrame& frame : fx.frames) {
-    if (fast) {
-      uniloc.update_fast(frame, scratch);
-    } else {
-      (void)uniloc.update(frame);
-    }
+    uniloc.update_fast(frame, scratch);
   }
 
   PipelineStats stats;
@@ -77,11 +70,7 @@ PipelineStats run_pipeline(const core::Deployment& d,
     uniloc.reset({fx.start_pos, fx.start_heading});
     for (const sim::SensorFrame& frame : fx.frames) {
       const obs::Stopwatch sw;
-      if (fast) {
-        uniloc.update_fast(frame, scratch);
-      } else {
-        (void)uniloc.update(frame);
-      }
+      uniloc.update_fast(frame, scratch);
       const double us = sw.elapsed_us();
       stats.epoch_us.push_back(us);
       total_us += us;
@@ -107,9 +96,8 @@ int main() {
   obs::BenchReport report = bench::make_report("epoch_pipeline");
 
   // The campus is the paper's primary venue (the eight daily paths) and
-  // the regime the cache is built for: hundreds of fingerprints, so the
-  // reference pipeline's per-epoch map-walk over every fingerprint is
-  // the dominant cost the precomputed tables remove.
+  // the regime the likelihood cache is built for: hundreds of
+  // fingerprints matched against every scan.
   const core::Deployment d = core::make_deployment(
       sim::campus(42), core::DeploymentOptions{.seed = 42});
   const ReplayFixture fx = record_walk(d, /*walkway=*/0, /*seed=*/99);
@@ -117,20 +105,17 @@ int main() {
               fx.frames.size(), d.wifi_db->size(), d.cell_db->size());
 
   constexpr int kPasses = 20;
-  const PipelineStats ref = run_pipeline(d, fx, /*fast=*/false, kPasses);
-  const PipelineStats fast = run_pipeline(d, fx, /*fast=*/true, kPasses);
+  const PipelineStats fast = run_pipeline(d, fx, kPasses);
 
-  // The fast path again, with live span tracing serializing every
+  // Again, with live span tracing serializing every
   // scheme/fuse span as JSONL into a memory buffer -- the worst-case
   // enabled-tracing tax the service can pay per epoch. The acceptance
   // contract bounds it below 5% of epoch throughput.
   std::ostringstream span_buf;
   obs::JsonlSpanSink span_sink(span_buf);
   obs::SpanTracer tracer(&span_sink);
-  const PipelineStats traced =
-      run_pipeline(d, fx, /*fast=*/true, kPasses, &tracer);
+  const PipelineStats traced = run_pipeline(d, fx, kPasses, &tracer);
 
-  const double speedup = fast.epochs_per_sec / ref.epochs_per_sec;
   const double tracing_overhead_pct =
       fast.epochs_per_sec > 0.0
           ? 100.0 * (1.0 - traced.epochs_per_sec / fast.epochs_per_sec)
@@ -145,22 +130,15 @@ int main() {
                io::Table::num(s.cache_hit_rate),
                io::Table::num(static_cast<double>(s.scratch_bytes) / 1024.0)});
   };
-  row("reference update()", ref);
-  row("fast update_fast()", fast);
-  row("fast + span tracing", traced);
+  row("update_fast()", fast);
+  row("update_fast() + span tracing", traced);
   std::printf("%s", t.to_string().c_str());
-  std::printf("speedup: %.2fx\n", speedup);
   std::printf("tracing overhead: %.2f%% (%zu spans emitted)\n",
               tracing_overhead_pct, span_sink.spans_written());
 
-  report.add_series("reference_epoch_us", ref.epoch_us);
   report.add_series("fast_epoch_us", fast.epoch_us);
   report.add_series("traced_epoch_us", traced.epoch_us);
-  report.add_scalar("reference_epochs_per_sec", ref.epochs_per_sec);
   report.add_scalar("fast_epochs_per_sec", fast.epochs_per_sec);
-  report.add_scalar("speedup", speedup);
-  report.add_scalar("reference_p50_us", stats::percentile(ref.epoch_us, 50.0));
-  report.add_scalar("reference_p99_us", stats::percentile(ref.epoch_us, 99.0));
   report.add_scalar("fast_p50_us", stats::percentile(fast.epoch_us, 50.0));
   report.add_scalar("fast_p99_us", stats::percentile(fast.epoch_us, 99.0));
   report.add_scalar("fast_cache_hit_rate", fast.cache_hit_rate);

@@ -194,8 +194,9 @@ void BM_PosteriorGridFusion(benchmark::State& state) {
 }
 BENCHMARK(BM_PosteriorGridFusion);
 
-// --- full Uniloc::update() epoch, replaying recorded frames -----------
+// --- full Uniloc::update_fast() epoch, replaying recorded frames ------
 //
+// Every replay runs on one warm epoch arena, as a service worker does.
 // Three variants quantify the telemetry subsystem's overhead contract:
 // never-attached (baseline), attach_metrics(nullptr) (the null-object
 // detach path -- must stay within a couple percent of baseline), and
@@ -207,32 +208,30 @@ struct ReplayFixture {
   double start_heading{0.0};
 };
 
+ReplayFixture record_walk(const core::Deployment& d) {
+  ReplayFixture r;
+  sim::WalkConfig wc;
+  wc.seed = 99;
+  sim::Walker walker(d.place.get(), d.radio.get(), 0, wc);
+  r.start_pos = walker.start_position();
+  r.start_heading = walker.start_heading();
+  while (!walker.done()) r.frames.push_back(walker.step(true));
+  return r;
+}
+
 const ReplayFixture& replay_frames() {
-  static const ReplayFixture fx = [] {
-    ReplayFixture r;
-    sim::WalkConfig wc;
-    wc.seed = 99;
-    sim::Walker walker(office().place.get(), office().radio.get(), 0, wc);
-    r.start_pos = walker.start_position();
-    r.start_heading = walker.start_heading();
-    while (!walker.done()) r.frames.push_back(walker.step(true));
-    return r;
-  }();
+  static const ReplayFixture fx = record_walk(office());
   return fx;
 }
 
-enum class Instr { kNone, kNullRegistry, kRegistry };
-
-void run_uniloc_update(benchmark::State& state, Instr instr) {
-  const ReplayFixture& fx = replay_frames();
-  core::Uniloc uniloc = core::make_uniloc(office(), models());
-  obs::MetricsRegistry registry;
-  if (instr == Instr::kNullRegistry) uniloc.attach_metrics(nullptr);
-  if (instr == Instr::kRegistry) uniloc.attach_metrics(&registry);
+/// One epoch per iteration, cycling through `fx` (reset at each wrap).
+void replay(benchmark::State& state, core::Uniloc& uniloc,
+            const ReplayFixture& fx) {
+  core::EpochScratch scratch;
   uniloc.reset({fx.start_pos, fx.start_heading});
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(uniloc.update(fx.frames[i]));
+    benchmark::DoNotOptimize(&uniloc.update_fast(fx.frames[i], scratch));
     if (++i == fx.frames.size()) {
       i = 0;
       state.PauseTiming();
@@ -240,6 +239,16 @@ void run_uniloc_update(benchmark::State& state, Instr instr) {
       state.ResumeTiming();
     }
   }
+}
+
+enum class Instr { kNone, kNullRegistry, kRegistry };
+
+void run_uniloc_update(benchmark::State& state, Instr instr) {
+  core::Uniloc uniloc = core::make_uniloc(office(), models());
+  obs::MetricsRegistry registry;
+  if (instr == Instr::kNullRegistry) uniloc.attach_metrics(nullptr);
+  if (instr == Instr::kRegistry) uniloc.attach_metrics(&registry);
+  replay(state, uniloc, replay_frames());
 }
 
 void BM_UnilocUpdate(benchmark::State& state) {
@@ -277,22 +286,11 @@ void BM_SpanBeginEnd(benchmark::State& state) {
 BENCHMARK(BM_SpanBeginEnd);
 
 void run_uniloc_update_traced(benchmark::State& state, bool attached) {
-  const ReplayFixture& fx = replay_frames();
   core::Uniloc uniloc = core::make_uniloc(office(), models());
   obs::NullSpanSink sink;
   obs::SpanTracer tracer(&sink);
   uniloc.attach_tracer(attached ? &tracer : nullptr);
-  uniloc.reset({fx.start_pos, fx.start_heading});
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(uniloc.update(fx.frames[i]));
-    if (++i == fx.frames.size()) {
-      i = 0;
-      state.PauseTiming();
-      uniloc.reset({fx.start_pos, fx.start_heading});
-      state.ResumeTiming();
-    }
-  }
+  replay(state, uniloc, replay_frames());
 }
 
 void BM_UnilocUpdateDetachedTracer(benchmark::State& state) {
@@ -305,38 +303,7 @@ void BM_UnilocUpdateTracer(benchmark::State& state) {
 }
 BENCHMARK(BM_UnilocUpdateTracer)->Unit(benchmark::kMicrosecond);
 
-void run_uniloc_replay(benchmark::State& state, const core::Deployment& d,
-                       const ReplayFixture& fx, bool fast) {
-  core::Uniloc uniloc = core::make_uniloc(d, models());
-  core::EpochScratch scratch;
-  uniloc.reset({fx.start_pos, fx.start_heading});
-  std::size_t i = 0;
-  for (auto _ : state) {
-    if (fast) {
-      benchmark::DoNotOptimize(&uniloc.update_fast(fx.frames[i], scratch));
-    } else {
-      benchmark::DoNotOptimize(uniloc.update(fx.frames[i]));
-    }
-    if (++i == fx.frames.size()) {
-      i = 0;
-      state.PauseTiming();
-      uniloc.reset({fx.start_pos, fx.start_heading});
-      state.ResumeTiming();
-    }
-  }
-}
-
-void BM_UnilocUpdateFast(benchmark::State& state) {
-  // The zero-allocation pipeline on the same recorded frames as
-  // BM_UnilocUpdate. The office epoch is dominated by the two particle
-  // filters, which both pipelines share, so the gap is modest here; the
-  // campus pair below is the headline fast-vs-reference comparison
-  // (bench/epoch_pipeline.cpp has the full report).
-  run_uniloc_replay(state, office(), replay_frames(), /*fast=*/true);
-}
-BENCHMARK(BM_UnilocUpdateFast)->Unit(benchmark::kMicrosecond);
-
-// --- the campus: the paper's primary venue and the fast path's regime ---
+// --- the campus: the paper's primary venue ------------------------------
 //
 // Hundreds of fingerprints and eight long walkways make RSSI matching and
 // the per-particle environment lookups the dominant epoch costs -- exactly
@@ -350,31 +317,15 @@ const core::Deployment& campus_deployment() {
 }
 
 const ReplayFixture& campus_frames() {
-  static const ReplayFixture fx = [] {
-    ReplayFixture r;
-    sim::WalkConfig wc;
-    wc.seed = 99;
-    sim::Walker walker(campus_deployment().place.get(),
-                       campus_deployment().radio.get(), 0, wc);
-    r.start_pos = walker.start_position();
-    r.start_heading = walker.start_heading();
-    while (!walker.done()) r.frames.push_back(walker.step(true));
-    return r;
-  }();
+  static const ReplayFixture fx = record_walk(campus_deployment());
   return fx;
 }
 
 void BM_UnilocUpdateCampus(benchmark::State& state) {
-  run_uniloc_replay(state, campus_deployment(), campus_frames(),
-                    /*fast=*/false);
+  core::Uniloc uniloc = core::make_uniloc(campus_deployment(), models());
+  replay(state, uniloc, campus_frames());
 }
 BENCHMARK(BM_UnilocUpdateCampus)->Unit(benchmark::kMicrosecond);
-
-void BM_UnilocUpdateFastCampus(benchmark::State& state) {
-  run_uniloc_replay(state, campus_deployment(), campus_frames(),
-                    /*fast=*/true);
-}
-BENCHMARK(BM_UnilocUpdateFastCampus)->Unit(benchmark::kMicrosecond);
 
 void BM_WallCrossingQuery(benchmark::State& state) {
   static sim::Place campus = [] {

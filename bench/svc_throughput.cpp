@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_util.h"
 #include "fault/link.h"
@@ -38,19 +37,10 @@ constexpr std::size_t kEpochsPerWalker = 20;
 constexpr std::chrono::microseconds kSimulatedNetwork{8000};
 
 svc::LoadReport run_config(const core::Deployment& campus, int workers,
-                           const fault::FaultPlan* plan,
-                           std::size_t epoch_batch = 1) {
+                           const fault::FaultPlan* plan) {
   svc::ServerConfig cfg;
   cfg.workers = workers;
-  cfg.epoch_batch = epoch_batch;
   cfg.simulated_network = kSimulatedNetwork;
-  // UNILOC_SVC_REFERENCE=1 serves every epoch through the reference
-  // Uniloc::update() instead of the zero-allocation fast path -- the A/B
-  // behind the fast pipeline's goodput claim (EXPERIMENTS.md). Traces are
-  // bit-identical either way (tests/test_differential.cc).
-  if (std::getenv("UNILOC_SVC_REFERENCE") != nullptr) {
-    cfg.use_fast_path = false;
-  }
   svc::LocalizationServer server(
       cfg,
       [&campus](std::uint64_t sid) {
@@ -85,9 +75,6 @@ svc::LoadReport run_fleet(const core::Deployment& campus, std::size_t shards,
   cfg.shards = shards;
   cfg.server.workers = workers;
   cfg.server.simulated_network = kSimulatedNetwork;
-  if (std::getenv("UNILOC_SVC_REFERENCE") != nullptr) {
-    cfg.server.use_fast_path = false;
-  }
   shard::ShardRouter router(
       cfg,
       [&campus](std::uint64_t sid) {
@@ -183,40 +170,6 @@ int main() {
   bench_report.add_scalar("scaling_1_to_4", eps_w1 > 0.0 ? eps_w4 / eps_w1
                                                          : 0.0);
   bench_report.add_scalar("monotonic_1_to_4", monotonic_1_to_4 ? 1.0 : 0.0);
-
-  // ------------------------------------------------- batched scenario
-  // Cross-session epoch batching (svc/batcher.h): concurrently-arriving
-  // uplinks are grouped into batches of up to `epoch_batch` sessions and
-  // drained by one worker grab, cutting per-epoch queue/wake overhead at
-  // high worker counts. Traces are bit-identical to the unbatched path
-  // (proptest invariant I8); this measures what the identity costs/buys
-  // at the contended end of the worker axis.
-  std::printf("\nbatched scenario -- epoch_batch x workers, clean wire\n\n");
-  io::Table batch_table(
-      {"workers", "batch", "epochs/s", "vs unbatched", "p95 (ms)"});
-  double batch_best_ratio = 0.0;
-  for (const int workers : {4, 8}) {
-    for (const std::size_t batch : {2u, 4u}) {
-      const svc::LoadReport r = run_config(campus, workers, nullptr, batch);
-      const double eps = r.throughput_eps();
-      const double ratio =
-          clean_eps[workers] > 0.0 ? eps / clean_eps[workers] : 0.0;
-      if (workers == 8) batch_best_ratio = std::max(batch_best_ratio, ratio);
-      const double p95 = stats::percentile(r.latencies_us, 95.0) / 1000.0;
-      batch_table.add_row({std::to_string(workers), std::to_string(batch),
-                           io::Table::num(eps), io::Table::num(ratio),
-                           io::Table::num(p95)});
-      const std::string prefix = "batch" + std::to_string(batch) +
-                                 ".workers" + std::to_string(workers) + ".";
-      bench_report.add_scalar(prefix + "throughput_eps", eps);
-      bench_report.add_scalar(prefix + "vs_unbatched", ratio);
-      bench_report.add_scalar(prefix + "latency_p95_ms", p95);
-    }
-  }
-  std::printf("%s\n", batch_table.to_string().c_str());
-  std::printf("best batched-vs-unbatched ratio at 8 workers: %.2fx\n",
-              batch_best_ratio);
-  bench_report.add_scalar("batch.best_ratio_w8", batch_best_ratio);
 
   // ------------------------------------------------------ chaos scenario
   fault::FaultRates rates;

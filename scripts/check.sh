@@ -12,6 +12,9 @@ JOBS="${JOBS:-$(nproc)}"
 # The epoch-arena contract tests (tests/test_perf_contracts.cc), rerun by
 # name in the sanitizer tiers below.
 ARENA_TESTS='^perf\.PerfContracts\.(InterleavedSessions|EpochArena|UpdateFastLeaves)'
+# The kernel oracles (tests/test_differential.cc): each optimized kernel
+# of the epoch pipeline against the exact function it replaces.
+KERNEL_ORACLES='^diff\.KernelOracle\.'
 
 cmake -B "$BUILD_DIR" -S . ${CMAKE_ARGS:-}
 cmake --build "$BUILD_DIR" -j "$JOBS"
@@ -33,10 +36,10 @@ UNILOC_PROPTEST_CASES=64 \
 ctest --test-dir "$BUILD_DIR" -L '^simd$' --output-on-failure -j "$JOBS"
 
 # Scalar-fallback gate: the whole suite again in a -DUNILOC_NO_SIMD=ON
-# tree (vector kernels compiled out, no -fopenmp-simd). Golden traces and
-# differential expectations are shared with the native build, so this
-# gate proves the scalar and vectorized pipelines are bit-identical, not
-# merely both self-consistent. Set NOSIMD=0 to skip.
+# tree (vector kernels compiled out, no -fopenmp-simd). Golden traces are
+# shared with the native build, so this gate proves the scalar and
+# vectorized pipelines are bit-identical, not merely both
+# self-consistent. Set NOSIMD=0 to skip.
 if [[ "${NOSIMD:-1}" != "0" ]]; then
   NOSIMD_DIR="${NOSIMD_DIR:-build-nosimd}"
   cmake -B "$NOSIMD_DIR" -S . -DUNILOC_NO_SIMD=ON
@@ -64,10 +67,12 @@ if [[ "${TSAN:-1}" != "0" ]]; then
   # threads concurrently -- the `obs` label's concurrency tests must be
   # clean under TSan too.
   ctest --test-dir "$TSAN_DIR" -L '^obs$' --output-on-failure -j "$JOBS"
-  # Fast-path gate: the differential seed sweeps drive the service at
-  # workers=4, so TSan checks that each worker thread's epoch arena (scan
-  # memos and kernel buffers included) is touched by that thread alone,
-  # and that session state stays confined to its session strand.
+  # Invariance gate: the differential suite checks that worker count,
+  # the fleet (migration, membership churn) and shard crashes leave the
+  # served stream bit-identical. Its workers=4 sweeps let TSan check that
+  # each worker thread's epoch arena (scan memos and kernel buffers
+  # included) is touched by that thread alone, and that session state
+  # stays confined to its session strand.
   ctest --test-dir "$TSAN_DIR" -R '^diff\.' --output-on-failure -j "$JOBS"
   # Property-test concurrency gate: the generated-world sweep spawns
   # workers>0 and fleet passes for a quarter of its cases -- TSan watches
@@ -76,14 +81,15 @@ if [[ "${TSAN:-1}" != "0" ]]; then
   cmake --build "$TSAN_DIR" -j "$JOBS" --target test_proptest
   UNILOC_PROPTEST_CASES=32 ctest --test-dir "$TSAN_DIR" \
     -R '^proptest\.ChaosSweep' --output-on-failure -j "$JOBS"
-  # Batched-path gate: the EpochBatcher hands assembled cross-session
-  # batches to whichever worker drains the FIFO, so batch assembly,
-  # runner retirement and the per-session ordering guarantee all run
-  # under TSan here (the allocation-counting hook is compiled out under
-  # sanitizers; the ordering/semantic assertions still run).
+  # Dispatch-order gate: two pool workers drain interleaved sessions
+  # through the server's own post-a-drain dispatch; each session must
+  # see its epochs in submission order, with TSan watching the strand
+  # handshake (the allocation-counting hook is compiled out under
+  # sanitizers; the ordering assertions still run).
   cmake --build "$TSAN_DIR" -j "$JOBS" --target test_perf_contracts
-  ctest --test-dir "$TSAN_DIR" -R '^perf\..*Batch' --output-on-failure \
-    -j "$JOBS"
+  ctest --test-dir "$TSAN_DIR" \
+    -R '^perf\.PerfContracts\.BatchAssemblyNeverReordersEpochsWithinASession$' \
+    --output-on-failure -j "$JOBS"
   # Epoch-arena gate: the arena contracts ride along with the workers=4
   # sweeps above -- nine sessions (one with a kOther scheme) round-robin
   # through one arena bit-identical to their solo runs, memo slots
@@ -103,10 +109,17 @@ if [[ "${ASAN:-1}" != "0" ]]; then
   cmake --build "$ASAN_DIR" -j "$JOBS" \
     --target test_svc test_fault test_golden test_differential
   ctest --test-dir "$ASAN_DIR" -L 'svc|chaos' --output-on-failure -j "$JOBS"
-  # Fast-path gate: the reference-vs-fast differential must stay clean
-  # under ASan/UBSan -- the zero-allocation arena reuses buffers across
-  # epochs and sessions, exactly where stale-pointer bugs would hide.
+  # Invariance gate: the worker, fleet and crash differentials must stay
+  # clean under ASan/UBSan -- the zero-allocation arena reuses buffers
+  # across epochs and sessions, exactly where stale-pointer bugs would
+  # hide.
   ctest --test-dir "$ASAN_DIR" -R '^diff\.' --output-on-failure -j "$JOBS"
+  # Kernel-oracle gate: the env index, the scan memo and likelihood
+  # cache, and the context-shared scheme kernels against the exact
+  # functions they replace, rerun by name so an out-of-bounds read in an
+  # index or memo fails greppably.
+  ctest --test-dir "$ASAN_DIR" -R "$KERNEL_ORACLES" --output-on-failure \
+    -j "$JOBS"
   # Arena-lifetime gate: a worker's epoch arena dies with its thread while
   # the sessions it served live on. The contract tests free an arena after
   # one epoch and call a scheme's update_into directly -- a use-after-free

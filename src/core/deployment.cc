@@ -25,7 +25,7 @@ Deployment make_deployment(sim::Place place, DeploymentOptions opts) {
   // Deployment-time warmup (like Place::prebuild_wall_index): the cached
   // matching fast path is table lookups from the first epoch on, and the
   // shared databases stay read-only once sessions start querying them.
-  // Same story for the walkway-candidate index behind the fast pipeline's
+  // Same story for the walkway-candidate index behind the PDR filters'
   // per-particle environment lookups: built here, immutable afterwards.
   d.wifi_db->prebuild_likelihood_cache();
   d.cell_db->prebuild_likelihood_cache();

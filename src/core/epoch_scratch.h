@@ -1,4 +1,4 @@
-// Epoch arena for the zero-allocation epoch fast path.
+// Epoch arena for the zero-allocation epoch pipeline.
 //
 // Uniloc::update_fast threads one EpochScratch through every stage of the
 // epoch pipeline (scheme outputs, scheme and particle-filter kernels,

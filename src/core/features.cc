@@ -21,27 +21,9 @@ double observable_or(const schemes::SchemeOutput& out, const std::string& key,
 /// the k=3 best candidates. Small deviation = ambiguous candidates = the
 /// estimate is more likely wrong (negative regression coefficient).
 double top3_distance_sd(const schemes::FingerprintDatabase* db,
-                        const std::vector<sim::ApReading>& scan) {
-  if (db == nullptr || db->empty() || scan.empty()) return 0.0;
-  const std::vector<schemes::Match> top = db->k_nearest(scan, 3);
-  if (top.size() < 2) return 0.0;
-  std::vector<double> d;
-  d.reserve(top.size());
-  for (const schemes::Match& m : top) d.push_back(m.distance);
-  return stats::stddev(d);
-}
-
-double density_or_large(const schemes::FingerprintDatabase* db,
-                        geo::Vec2 pos) {
-  if (db == nullptr || db->empty()) return 50.0;
-  return std::min(50.0, db->local_density(pos));
-}
-
-// Buffer-reusing twins of the two allocating helpers above; same values.
-double top3_distance_sd_into(const schemes::FingerprintDatabase* db,
-                             const std::vector<sim::ApReading>& scan,
-                             schemes::ScanScratch& scan_scratch,
-                             FeatureScratch& scratch) {
+                        const std::vector<sim::ApReading>& scan,
+                        schemes::ScanScratch& scan_scratch,
+                        FeatureScratch& scratch) {
   if (db == nullptr || db->empty() || scan.empty()) return 0.0;
   // The schemes already evaluated this scan against this database earlier
   // in the epoch; serve the top 3 from the shared memo when one is around.
@@ -61,8 +43,8 @@ double top3_distance_sd_into(const schemes::FingerprintDatabase* db,
   return stats::stddev(scratch.top3);
 }
 
-double density_or_large_into(const schemes::FingerprintDatabase* db,
-                             geo::Vec2 pos, FeatureScratch& scratch) {
+double density_or_large(const schemes::FingerprintDatabase* db,
+                        geo::Vec2 pos, FeatureScratch& scratch) {
   if (db == nullptr || db->empty()) return 50.0;
   return std::min(50.0, db->local_density(pos, 4, scratch.knn));
 }
@@ -91,35 +73,6 @@ std::vector<std::string> feature_names(SchemeFamily family) {
   return {};
 }
 
-std::vector<double> extract_features(SchemeFamily family,
-                                     const sim::SensorFrame& frame,
-                                     const schemes::SchemeOutput& output,
-                                     const FeatureContext& ctx) {
-  switch (family) {
-    case SchemeFamily::kWifiFingerprint:
-      return {density_or_large(ctx.wifi_db, ctx.predicted_location),
-              top3_distance_sd(ctx.wifi_db, frame.wifi)};
-    case SchemeFamily::kCellFingerprint:
-      return {density_or_large(ctx.cell_db, ctx.predicted_location),
-              top3_distance_sd(ctx.cell_db, frame.cell)};
-    case SchemeFamily::kMotionPdr:
-      return {observable_or(output, "dist_since_landmark", 0.0),
-              corridor_width(ctx)};
-    case SchemeFamily::kFusion:
-      return {observable_or(output, "dist_since_landmark", 0.0),
-              corridor_width(ctx),
-              density_or_large(ctx.wifi_db, ctx.predicted_location)};
-    case SchemeFamily::kGps:
-      return {};
-    case SchemeFamily::kOther:
-      // Generic fallback for user-integrated schemes: any scheme that
-      // reports a posterior provides its spread as a self-assessed
-      // uncertainty feature.
-      return {output.posterior.spread()};
-  }
-  return {};
-}
-
 void extract_features_into(SchemeFamily family, const sim::SensorFrame& frame,
                            const schemes::SchemeOutput& output,
                            const FeatureContext& ctx, FeatureScratch& scratch,
@@ -129,16 +82,16 @@ void extract_features_into(SchemeFamily family, const sim::SensorFrame& frame,
   x.clear();
   switch (family) {
     case SchemeFamily::kWifiFingerprint:
-      x.push_back(density_or_large_into(ctx.wifi_db, ctx.predicted_location,
-                                        scratch));
-      x.push_back(top3_distance_sd_into(ctx.wifi_db, frame.wifi, scratch.wifi,
-                                        scratch));
+      x.push_back(density_or_large(ctx.wifi_db, ctx.predicted_location,
+                                   scratch));
+      x.push_back(top3_distance_sd(ctx.wifi_db, frame.wifi, scratch.wifi,
+                                   scratch));
       return;
     case SchemeFamily::kCellFingerprint:
-      x.push_back(density_or_large_into(ctx.cell_db, ctx.predicted_location,
-                                        scratch));
-      x.push_back(top3_distance_sd_into(ctx.cell_db, frame.cell, scratch.cell,
-                                        scratch));
+      x.push_back(density_or_large(ctx.cell_db, ctx.predicted_location,
+                                   scratch));
+      x.push_back(top3_distance_sd(ctx.cell_db, frame.cell, scratch.cell,
+                                   scratch));
       return;
     case SchemeFamily::kMotionPdr:
       x.push_back(observable_or(output, kDistSinceLandmark, 0.0));
@@ -147,15 +100,28 @@ void extract_features_into(SchemeFamily family, const sim::SensorFrame& frame,
     case SchemeFamily::kFusion:
       x.push_back(observable_or(output, kDistSinceLandmark, 0.0));
       x.push_back(corridor_width(ctx));
-      x.push_back(density_or_large_into(ctx.wifi_db, ctx.predicted_location,
-                                        scratch));
+      x.push_back(density_or_large(ctx.wifi_db, ctx.predicted_location,
+                                   scratch));
       return;
     case SchemeFamily::kGps:
       return;
     case SchemeFamily::kOther:
+      // Generic fallback for user-integrated schemes: any scheme that
+      // reports a posterior provides its spread as a self-assessed
+      // uncertainty feature.
       x.push_back(output.posterior.spread());
       return;
   }
+}
+
+std::vector<double> extract_features(SchemeFamily family,
+                                     const sim::SensorFrame& frame,
+                                     const schemes::SchemeOutput& output,
+                                     const FeatureContext& ctx) {
+  FeatureScratch scratch;
+  std::vector<double> x;
+  extract_features_into(family, frame, output, ctx, scratch, x);
+  return x;
 }
 
 std::vector<std::string> candidate_feature_names(SchemeFamily family) {

@@ -45,15 +45,6 @@ struct FeatureContext {
 /// Names of the regression features for a family, in extraction order.
 std::vector<std::string> feature_names(schemes::SchemeFamily family);
 
-/// Extract the feature vector for one scheme's error model.
-/// `output` provides the scheme's public observables (e.g. the PDR
-/// distance-since-landmark counter, which a deployed PDR necessarily
-/// exposes since it is part of its walking model).
-std::vector<double> extract_features(schemes::SchemeFamily family,
-                                     const sim::SensorFrame& frame,
-                                     const schemes::SchemeOutput& output,
-                                     const FeatureContext& ctx);
-
 /// Reusable buffers for extract_features_into, one per epoch arena
 /// (core::EpochScratch): the ScanScratch members hold the likelihood-cache
 /// working state for the WiFi and cellular databases respectively, and
@@ -65,19 +56,28 @@ struct FeatureScratch {
   std::vector<schemes::Match> matches;
   std::vector<double> top3;
   std::vector<std::size_t> knn;
-  /// Fast-path shared epoch state (schemes/epoch_context.h), set by
+  /// Shared epoch state (schemes/epoch_context.h), set by
   /// Uniloc::update_fast each epoch; null (the default, and always null
   /// during offline training) recomputes every RSSI match from scratch.
   schemes::EpochContext* epoch_ctx{nullptr};
 };
 
-/// extract_features into a caller-owned vector: bit-identical values,
-/// allocation-free once `scratch`/`x` reach steady capacity.
+/// Extract the feature vector for one scheme's error model into `x`.
+/// `output` provides the scheme's public observables (e.g. the PDR
+/// distance-since-landmark counter, which a deployed PDR necessarily
+/// exposes since it is part of its walking model). Allocation-free once
+/// `scratch` and `x` reach steady capacity.
 void extract_features_into(schemes::SchemeFamily family,
                            const sim::SensorFrame& frame,
                            const schemes::SchemeOutput& output,
                            const FeatureContext& ctx, FeatureScratch& scratch,
                            std::vector<double>& x);
+
+/// extract_features_into on fresh buffers (training, tests).
+std::vector<double> extract_features(schemes::SchemeFamily family,
+                                     const sim::SensorFrame& frame,
+                                     const schemes::SchemeOutput& output,
+                                     const FeatureContext& ctx);
 
 /// Candidate features the paper examined but found insignificant
 /// (Sec. III-B): used by the Table II appropriateness analysis.

@@ -71,25 +71,44 @@ FeatureContext Uniloc::make_context(bool indoor) const {
 }
 
 EpochDecision Uniloc::update(const sim::SensorFrame& frame) {
+  EpochScratch scratch;
+  return update_fast(frame, scratch);
+}
+
+const EpochDecision& Uniloc::update_fast(const sim::SensorFrame& frame,
+                                         EpochScratch& scratch) {
   obs::ScopedTimer update_timer(update_us_);
   if (epochs_ != nullptr) epochs_->inc();
-  EpochDecision d;
+  EpochDecision& d = scratch.decision;
   const std::size_t n = entries_.size();
   d.outputs.resize(n);
   d.predicted_error.assign(n, stats::Gaussian{0.0, 1.0});
   d.confidence.assign(n, 0.0);
   d.weight.assign(n, 0.0);
 
+  // 0. Open a new shared epoch: one tag bump invalidates every memoized
+  //    candidate evaluation at once, and the schemes get the context
+  //    installed before they localize (a no-op for schemes that ignore
+  //    it).
+  ++scratch.scheme_ctx.tag;
+  scratch.feature_scratch.epoch_ctx = &scratch.scheme_ctx;
+  for (Entry& e : entries_) e.scheme->set_epoch_context(&scratch.scheme_ctx);
+
   // 1. Run every scheme on the frame (conceptually in parallel; the paper
-  //    offloads this to a server). User-integrated schemes are untrusted:
-  //    an output containing non-finite values is treated as unavailable
-  //    rather than poisoning the ensemble.
+  //    offloads this to a server), localizing into the persistent output
+  //    slots. An unavailable slot may keep a stale posterior/observables
+  //    payload from an earlier epoch; every consumer gates on `available`
+  //    first (DESIGN.md section 11), and keeping the map nodes alive is
+  //    what makes availability flaps (GPS duty cycling!) allocation-free.
+  //    User-integrated schemes are untrusted: an output containing
+  //    non-finite values is treated as unavailable rather than poisoning
+  //    the ensemble.
   for (std::size_t i = 0; i < n; ++i) {
     {
       obs::ScopedTimer localize_timer(entries_[i].localize_us);
       obs::ScopedSpan localize_span(tracer_, entries_[i].span_name.c_str(),
                                     "core");
-      d.outputs[i] = entries_[i].scheme->update(frame);
+      entries_[i].scheme->update_into(frame, d.outputs[i]);
     }
     schemes::SchemeOutput& out = d.outputs[i];
     if (out.available) {
@@ -100,7 +119,12 @@ EpochDecision Uniloc::update(const sim::SensorFrame& frame) {
                  std::isfinite(wp.pos.y) && std::isfinite(wp.weight) &&
                  wp.weight >= 0.0;
       }
-      if (!finite) out = schemes::SchemeOutput{};
+      if (!finite) {
+        out.available = false;
+        out.estimate = geo::Vec2{};
+        out.posterior.support.clear();
+        out.observables.clear();
+      }
     }
   }
 
@@ -109,13 +133,14 @@ EpochDecision Uniloc::update(const sim::SensorFrame& frame) {
   const FeatureContext ctx = make_context(d.indoor);
 
   // 3. Online error prediction per available scheme.
-  std::vector<stats::Gaussian> available_predictions;
+  scratch.available_predictions.clear();
   for (std::size_t i = 0; i < n; ++i) {
     if (!d.outputs[i].available) continue;
-    const std::vector<double> x = extract_features(
-        entries_[i].scheme->family(), frame, d.outputs[i], ctx);
-    d.predicted_error[i] = entries_[i].model.predict(x, d.indoor);
-    available_predictions.push_back(d.predicted_error[i]);
+    extract_features_into(entries_[i].scheme->family(), frame, d.outputs[i],
+                          ctx, scratch.feature_scratch, scratch.features);
+    d.predicted_error[i] = entries_[i].model.predict(scratch.features,
+                                                     d.indoor);
+    scratch.available_predictions.push_back(d.predicted_error[i]);
   }
 
   // 4. Adaptive threshold and confidences (Eq. 2). Steps 4-6 are the
@@ -126,7 +151,7 @@ EpochDecision Uniloc::update(const sim::SensorFrame& frame) {
                               : std::chrono::steady_clock::time_point{};
   obs::ScopedSpan fuse_span(tracer_, "core.fuse", "core");
   d.tau = cfg_.fixed_tau_m > 0.0 ? cfg_.fixed_tau_m
-                                 : adaptive_tau(available_predictions);
+                                 : adaptive_tau(scratch.available_predictions);
   for (std::size_t i = 0; i < n; ++i) {
     if (!d.outputs[i].available) continue;  // confidence stays 0 (excluded)
     d.confidence[i] = confidence(d.predicted_error[i], d.tau);
@@ -145,11 +170,12 @@ EpochDecision Uniloc::update(const sim::SensorFrame& frame) {
   // 6. UniLoc2: locally-weighted BMA. The fused location (Eq. 4, per
   //    axis) is the mixture expectation: sum_n w_n * E[l | M_n, s_t].
   //    Confidences are sharpened before normalization (see UnilocConfig).
-  std::vector<double> sharpened(n);
+  scratch.sharpened.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    sharpened[i] = std::pow(d.confidence[i], cfg_.confidence_sharpness);
+    scratch.sharpened[i] =
+        std::pow(d.confidence[i], cfg_.confidence_sharpness);
   }
-  d.weight = bma_weights(sharpened);
+  bma_weights_into(scratch.sharpened, d.weight);
   geo::Vec2 fused{};
   double mass = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -199,151 +225,6 @@ EpochDecision Uniloc::update(const sim::SensorFrame& frame) {
     }
   }
   gps_enable_ = d.gps_enable_next;
-  return d;
-}
-
-const EpochDecision& Uniloc::update_fast(const sim::SensorFrame& frame,
-                                         EpochScratch& scratch) {
-  obs::ScopedTimer update_timer(update_us_);
-  if (epochs_ != nullptr) epochs_->inc();
-  EpochDecision& d = scratch.decision;
-  const std::size_t n = entries_.size();
-  d.outputs.resize(n);
-  d.predicted_error.assign(n, stats::Gaussian{0.0, 1.0});
-  d.confidence.assign(n, 0.0);
-  d.weight.assign(n, 0.0);
-
-  // 0. Open a new shared epoch: one tag bump invalidates every memoized
-  //    candidate evaluation at once, and the schemes get the context
-  //    installed before they localize (a no-op for schemes that ignore
-  //    it). update() never installs a context, so the reference pipeline
-  //    recomputes everything -- the pair the differential suite compares.
-  ++scratch.scheme_ctx.tag;
-  scratch.feature_scratch.epoch_ctx = &scratch.scheme_ctx;
-  for (Entry& e : entries_) e.scheme->set_epoch_context(&scratch.scheme_ctx);
-
-  // 1. Localize into the persistent output slots. An unavailable slot may
-  //    keep a stale posterior/observables payload from an earlier epoch;
-  //    every consumer gates on `available` first (DESIGN.md section 11),
-  //    and keeping the map nodes alive is what makes availability flaps
-  //    (GPS duty cycling!) allocation-free.
-  for (std::size_t i = 0; i < n; ++i) {
-    {
-      obs::ScopedTimer localize_timer(entries_[i].localize_us);
-      obs::ScopedSpan localize_span(tracer_, entries_[i].span_name.c_str(),
-                                    "core");
-      entries_[i].scheme->update_into(frame, d.outputs[i]);
-    }
-    schemes::SchemeOutput& out = d.outputs[i];
-    if (out.available) {
-      bool finite = std::isfinite(out.estimate.x) &&
-                    std::isfinite(out.estimate.y);
-      for (const schemes::WeightedPoint& wp : out.posterior.support) {
-        finite = finite && std::isfinite(wp.pos.x) &&
-                 std::isfinite(wp.pos.y) && std::isfinite(wp.weight) &&
-                 wp.weight >= 0.0;
-      }
-      if (!finite) {
-        // Rare untrusted-scheme path; matches update()'s reset semantics
-        // for every consumer-visible field.
-        out.available = false;
-        out.estimate = geo::Vec2{};
-        out.posterior.support.clear();
-        out.observables.clear();
-      }
-    }
-  }
-
-  // 2. Environment classification and feature context.
-  d.indoor = io_detector_.is_indoor(frame);
-  const FeatureContext ctx = make_context(d.indoor);
-
-  // 3. Online error prediction per available scheme.
-  scratch.available_predictions.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!d.outputs[i].available) continue;
-    extract_features_into(entries_[i].scheme->family(), frame, d.outputs[i],
-                          ctx, scratch.feature_scratch, scratch.features);
-    d.predicted_error[i] = entries_[i].model.predict(scratch.features,
-                                                     d.indoor);
-    scratch.available_predictions.push_back(d.predicted_error[i]);
-  }
-
-  // 4. Adaptive threshold and confidences (Eq. 2).
-  const auto fuse_start = fuse_us_ != nullptr
-                              ? std::chrono::steady_clock::now()
-                              : std::chrono::steady_clock::time_point{};
-  obs::ScopedSpan fuse_span(tracer_, "core.fuse", "core");
-  d.tau = cfg_.fixed_tau_m > 0.0 ? cfg_.fixed_tau_m
-                                 : adaptive_tau(scratch.available_predictions);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!d.outputs[i].available) continue;  // confidence stays 0 (excluded)
-    d.confidence[i] = confidence(d.predicted_error[i], d.tau);
-  }
-
-  // 5. UniLoc1: the highest-confidence scheme.
-  d.selected = -1;
-  double best_c = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (d.outputs[i].available && d.confidence[i] > best_c) {
-      best_c = d.confidence[i];
-      d.selected = static_cast<int>(i);
-    }
-  }
-
-  // 6. UniLoc2: locally-weighted BMA (identical arithmetic to update()).
-  scratch.sharpened.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    scratch.sharpened[i] =
-        std::pow(d.confidence[i], cfg_.confidence_sharpness);
-  }
-  bma_weights_into(scratch.sharpened, d.weight);
-  geo::Vec2 fused{};
-  double mass = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (d.weight[i] <= 0.0) continue;
-    const geo::Vec2 m = d.outputs[i].posterior.empty()
-                            ? d.outputs[i].estimate
-                            : d.outputs[i].posterior.mean();
-    fused += m * d.weight[i];
-    mass += d.weight[i];
-  }
-
-  const geo::Vec2 fallback =
-      predictor_.predict().value_or(geo::Vec2{});
-  d.uniloc2 = mass > 0.0 ? fused : fallback;
-  d.uniloc1 = d.selected >= 0
-                  ? d.outputs[static_cast<std::size_t>(d.selected)].estimate
-                  : fallback;
-  if (fuse_us_ != nullptr) {
-    fuse_us_->observe(std::chrono::duration<double, std::micro>(
-                          std::chrono::steady_clock::now() - fuse_start)
-                          .count());
-  }
-  fuse_span.finish();
-
-  // 7. Advance the location predictor with the fused result.
-  predictor_.observe(d.uniloc2);
-
-  // 8. GPS duty cycling for the next epoch.
-  d.gps_enable_next = true;
-  if (cfg_.gps_duty_cycle) {
-    if (d.indoor) {
-      d.gps_enable_next = false;
-    } else {
-      double gps_mu = std::numeric_limits<double>::infinity();
-      double best_other = std::numeric_limits<double>::infinity();
-      for (std::size_t i = 0; i < n; ++i) {
-        if (entries_[i].scheme->family() == schemes::SchemeFamily::kGps) {
-          gps_mu = entries_[i].model.predict({}, /*indoor=*/false).mean;
-        } else if (d.outputs[i].available) {
-          best_other = std::min(best_other, d.predicted_error[i].mean);
-        }
-      }
-      d.gps_enable_next = gps_mu <= best_other;
-    }
-  }
-  gps_enable_ = d.gps_enable_next;
 
   // 9. Detach the context: the scratch may be freed (a worker thread's
   //    arena dies with the thread) while this Uniloc lives on, and a
@@ -362,14 +243,6 @@ std::uint64_t Uniloc::scheme_cache_misses() const {
   std::uint64_t total = 0;
   for (const Entry& e : entries_) total += e.scheme->cache_misses();
   return total;
-}
-
-void Uniloc::snapshot_into(offload::ByteWriter& w) const {
-  snapshot_into(w, /*quantize=*/false);
-}
-
-bool Uniloc::restore_from(offload::ByteReader& r) {
-  return restore_from(r, /*quantize=*/false);
 }
 
 void Uniloc::snapshot_into(offload::ByteWriter& w, bool quantize) const {

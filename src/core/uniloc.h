@@ -94,49 +94,43 @@ class Uniloc {
   void reset(const schemes::StartCondition& start);
 
   /// Run one epoch: localize with every scheme, predict errors, combine.
-  EpochDecision update(const sim::SensorFrame& frame);
-
-  /// Fast-path epoch: same eight pipeline stages as update(), but every
-  /// intermediate lives in `scratch` and schemes localize through
+  /// Every intermediate lives in `scratch` and schemes localize through
   /// update_into, so a steady-state epoch performs zero heap allocations
-  /// (tests/test_perf_contracts.cc). Every consumer-visible field of the
-  /// returned decision is bit-identical to update()'s on the same frame
-  /// sequence (tests/test_differential.cc); unavailable scheme outputs may
-  /// carry stale posterior/observable payloads, which consumers never read
-  /// (they gate on `available`; DESIGN.md section 11). The reference is
-  /// valid until the next update_fast call on the same scratch, by this
-  /// or any other Uniloc. The schemes see the scratch's epoch context
-  /// only during the call.
+  /// (tests/test_perf_contracts.cc). Unavailable scheme outputs may carry
+  /// stale posterior/observable payloads, which consumers never read
+  /// (they gate on `available`; DESIGN.md section 11). The returned
+  /// decision lives in `scratch`, valid until the next update_fast call
+  /// on it, by this or any other Uniloc. The schemes see the scratch's
+  /// epoch context only during the call.
   const EpochDecision& update_fast(const sim::SensorFrame& frame,
                                    EpochScratch& scratch);
+
+  /// update_fast on a scratch of its own, returning a copy: for examples,
+  /// ablations and tests that keep no arena.
+  EpochDecision update(const sim::SensorFrame& frame);
 
   /// Sum of the registered schemes' likelihood-cache counters (the
   /// feature-stage counters live in EpochScratch).
   std::uint64_t scheme_cache_hits() const;
   std::uint64_t scheme_cache_misses() const;
 
-  /// The duty-cycling decision computed by the previous update() (true
+  /// The duty-cycling decision computed by the previous epoch (true
   /// before the first epoch: the controller cannot rule GPS out yet).
   bool gps_enabled() const { return gps_enable_; }
 
   /// Serialize all persistent mutable state -- the duty-cycle flag, the
   /// location predictor, and every scheme's state (name-tagged and
   /// length-prefixed) -- for a session checkpoint (svc/checkpoint.h).
-  void snapshot_into(offload::ByteWriter& w) const;
+  /// `quantize` selects the fixed-point particle codec (checkpoint format
+  /// v2), with the venue grid taken from this framework's Place bounds
+  /// (schemes::SnapshotContext); false is the lossless format v1.
+  void snapshot_into(offload::ByteWriter& w, bool quantize) const;
   /// Restore into a framework built with the same configuration, scheme
   /// list and seeds as the snapshotted one (the service rebuilds it via
-  /// the session factory first). Validates the scheme names and payload
-  /// framing; returns false (state unspecified but safe) on mismatch or
-  /// malformed input.
-  bool restore_from(offload::ByteReader& r);
-
-  /// Codec-versioned snapshot pair: `quantize` selects the fixed-point
-  /// particle codec (checkpoint format v2), with the venue grid taken
-  /// from this framework's Place bounds (schemes::SnapshotContext). The
-  /// flag must match between snapshot and restore -- the checkpoint
-  /// header's version byte carries it across the file boundary.
-  /// quantize == false is byte-identical to the pair above.
-  void snapshot_into(offload::ByteWriter& w, bool quantize) const;
+  /// the session factory first). `quantize` must match the snapshot's --
+  /// the checkpoint header's version byte carries it across the file
+  /// boundary. Validates the scheme names and payload framing; returns
+  /// false (state unspecified but safe) on mismatch or malformed input.
   bool restore_from(offload::ByteReader& r, bool quantize);
 
   /// Attach latency/throughput instrumentation to `registry` (nullptr

@@ -21,8 +21,8 @@
 // refactors cannot silently change it. The draw order is part of the
 // filter's contract: init() draws (x, y, heading, scale) per particle,
 // predict() draws (heading, step) per particle, resample() draws one
-// uniform -- in particle-index order. tests/test_differential.cc pins
-// this stream bit-for-bit.
+// uniform -- in particle-index order. The golden traces (tests/golden/)
+// pin this stream bit-for-bit.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +55,7 @@ struct Particle {
 /// Working memory of predict() and resample(). Every buffer is resized
 /// and rewritten before it is read, so nothing carries from one call to
 /// the next and one scratch serves any number of filters in turn: the
-/// fast epoch pipeline keeps one per worker thread in its epoch arena
+/// epoch pipeline keeps one per worker thread in its epoch arena
 /// (core::EpochScratch). Once the buffers have grown to the largest
 /// particle count they serve, a cycle allocates nothing.
 struct KernelScratch {

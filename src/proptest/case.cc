@@ -111,7 +111,7 @@ std::string to_json(const CaseSpec& s) {
   w.end_object();
 
   w.kv("workers", static_cast<std::uint64_t>(s.workers));
-  w.kv("batch", static_cast<std::uint64_t>(s.batch));
+  w.kv("batch", s.batch);
   w.kv("shards", static_cast<std::uint64_t>(s.shards));
   w.kv("migration_churn", s.migration_churn);
   w.key("churn").begin_array();
@@ -205,10 +205,10 @@ std::optional<CaseSpec> from_json(const std::string& line) {
       !parse_bool(doc->find("migration_churn"), &s.migration_churn)) {
     return std::nullopt;
   }
-  // "batch" is newer than the oldest corpus lines: absent means 0 (no
-  // batched pass), present must be well-typed.
+  // "batch" is newer than the oldest corpus lines: absent means false (no
+  // I8 pass), present must be well-typed.
   const obs::JsonValue* batch = doc->find("batch");
-  if (batch != nullptr && !parse_u32(batch, &s.batch)) return std::nullopt;
+  if (batch != nullptr && !parse_bool(batch, &s.batch)) return std::nullopt;
   const obs::JsonValue* churn = doc->find("churn");
   if (churn == nullptr || !churn->is_array()) return std::nullopt;
   for (const obs::JsonValue& e : churn->items) {

@@ -58,10 +58,9 @@ struct CaseSpec {
   bool migration_churn{false};
   /// Membership churn applied during the fleet pass.
   std::vector<ChurnEvent> churn;
-  /// > 1 adds a batched pass (ServerConfig::epoch_batch = batch) with the
-  /// SIMD kernels forced off that must be bit-identical to the base pass
-  /// (invariant I8: batched == unbatched AND scalar == vector).
-  std::uint32_t batch{0};
+  /// Adds a pass with the SIMD kernels forced off that must be
+  /// bit-identical to the base pass (invariant I8: scalar == vector).
+  bool batch{false};
   /// Run a crash/restore pass at faults.crash_rounds that must be
   /// bit-identical to the uninterrupted run.
   bool crash_restore{false};

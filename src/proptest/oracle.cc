@@ -1,6 +1,8 @@
 #include "proptest/oracle.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -43,6 +45,12 @@ std::string fmt(double v) {
 bool same(double a, double b) {
   if (std::isnan(a) && std::isnan(b)) return true;
   return a == b;
+}
+
+/// Equal up to reassociation: the recomputation may sum in another order.
+bool close(double a, double b) {
+  return std::abs(a - b) <=
+         1e-9 * std::max({1.0, std::abs(a), std::abs(b)});
 }
 
 /// Link decorator pinning I3's odometer half: the uplink byte counter
@@ -88,7 +96,17 @@ class CaseRunner {
             sim::random_place(spec.place),
             core::DeploymentOptions{.seed = spec.deploy_seed})),
         venue_(deployment_.place->bounds()),
-        plan_(fault::build_plan(spec.faults)) {}
+        plan_(fault::build_plan(spec.faults)),
+        gps_mu_(models.for_family(schemes::SchemeFamily::kGps)
+                    .predict({}, /*indoor=*/false)
+                    .mean) {
+    const core::Uniloc probe = core::make_uniloc(deployment_, models_);
+    for (std::size_t i = 0; i < probe.num_schemes(); ++i) {
+      if (probe.scheme(i).family() == schemes::SchemeFamily::kGps) {
+        gps_index_ = static_cast<int>(i);
+      }
+    }
+  }
 
   Verdict run(const OracleOptions& opts);
 
@@ -100,7 +118,8 @@ class CaseRunner {
     };
   }
 
-  /// on_epoch hook shared by every pass: I1 + I2 on the served decision.
+  /// on_epoch hook shared by every pass: I0 + I1 + I2 on the served
+  /// decision.
   /// Thread-safe (workers > 0 call it from the pool).
   void check_decision(const core::EpochDecision& d, const std::string& label);
 
@@ -114,8 +133,7 @@ class CaseRunner {
   enum class Injector { kNone, kSnapshot, kChain };
 
   PassResult run_single(int workers, Injector injector,
-                        const std::string& label,
-                        std::size_t epoch_batch = 1);
+                        const std::string& label);
   PassResult run_fleet();
 
   void check_report(const PassResult& pass);
@@ -132,12 +150,17 @@ class CaseRunner {
   core::Deployment deployment_;
   geo::BBox venue_;
   fault::FaultPlan plan_;
+  double gps_mu_;       ///< The GPS model's feature-free mean (I0).
+  int gps_index_{-1};   ///< GPS slot of the session ensemble (I0).
   std::mutex mu_;
   std::vector<std::string> violations_;
 };
 
 void CaseRunner::check_decision(const core::EpochDecision& d,
                                 const std::string& label) {
+  for (const std::string& v : check_paper_equations(d, gps_index_, gps_mu_)) {
+    violation("I0: " + label + " " + v);
+  }
   // I1: a proper BMA distribution over the available schemes.
   if (d.weight.size() != d.outputs.size()) {
     violation("I1: " + label + " weight/output size mismatch (" +
@@ -193,12 +216,10 @@ svc::LoadGenConfig CaseRunner::load_config(const obs::Counter* up) {
 }
 
 PassResult CaseRunner::run_single(int workers, Injector injector,
-                                  const std::string& label,
-                                  std::size_t epoch_batch) {
+                                  const std::string& label) {
   obs::MetricsRegistry reg;
   svc::ServerConfig scfg;
   scfg.workers = workers;
-  scfg.epoch_batch = epoch_batch;
   scfg.on_epoch = [this, label](std::uint64_t,
                                 const core::EpochDecision& d) {
     check_decision(d, label);
@@ -446,17 +467,12 @@ Verdict CaseRunner::run(const OracleOptions& opts) {
     compare_passes(ref, run_fleet(), "I7 (fleet)");
   }
 
-  if (opts.check_batch && spec_.batch > 1) {
-    // I8, both halves in one comparison: route the stream through the
-    // EpochBatcher (workers=0 drains batches inline, so the pass stays
-    // deterministic) AND force the scalar kernels. The base pass above
-    // ran unbatched with SIMD on -- equality pins batched == unbatched
-    // and scalar == vector at once.
+  if (opts.check_batch && spec_.batch) {
+    // I8: force the scalar kernels. The base pass above ran with SIMD
+    // on, so equality pins scalar == vector.
     const stats::ScopedSimd scalar_only(false);
-    compare_passes(ref,
-                   run_single(/*workers=*/0, Injector::kNone, "batch",
-                              /*epoch_batch=*/spec_.batch),
-                   "I8 (batch+scalar)");
+    compare_passes(ref, run_single(/*workers=*/0, Injector::kNone, "scalar"),
+                   "I8 (scalar)");
   }
 
   Verdict v;
@@ -465,6 +481,83 @@ Verdict CaseRunner::run(const OracleOptions& opts) {
 }
 
 }  // namespace
+
+std::vector<std::string> check_paper_equations(const core::EpochDecision& d,
+                                               int gps_index, double gps_mu) {
+  const std::size_t n = d.outputs.size();
+  if (d.predicted_error.size() != n || d.confidence.size() != n ||
+      d.weight.size() != n) {
+    return {"decision vectors are not index-aligned"};
+  }
+  std::vector<std::string> bad;
+  const auto expect = [&bad](double got, double want,
+                             const std::string& what) {
+    if (!close(got, want)) {
+      bad.push_back(what + " " + fmt(got) + " != " + fmt(want));
+    }
+  };
+  // tau: the mean predicted error of the available schemes (0: none).
+  const double inf = std::numeric_limits<double>::infinity();
+  double mu_sum = 0.0, available = 0.0, best_other = inf;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!d.outputs[i].available) continue;
+    mu_sum += d.predicted_error[i].mean;
+    available += 1.0;
+    if (static_cast<int>(i) != gps_index) {
+      best_other = std::min(best_other, d.predicted_error[i].mean);
+    }
+  }
+  expect(d.tau, available > 0.0 ? mu_sum / available : 0.0, "tau");
+  // Eq. 2: c_i = P(Y_i <= tau), Y_i ~ N(mu_i, sigma_i); 0 if unavailable.
+  // UniLoc1 takes the first available scheme of strictly greatest c_i.
+  const double s = core::UnilocConfig{}.confidence_sharpness;
+  int argmax = -1;
+  double best_c = 0.0, sharp_sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const stats::Gaussian& g = d.predicted_error[i];
+    const bool on = d.outputs[i].available;
+    expect(d.confidence[i],
+           on ? 0.5 * std::erfc((g.mean - d.tau) / (g.sd * std::sqrt(2.0)))
+              : 0.0,
+           "confidence[" + std::to_string(i) + "]");
+    if (on && d.confidence[i] > best_c) {
+      best_c = d.confidence[i];
+      argmax = static_cast<int>(i);
+    }
+    sharp_sum += std::pow(d.confidence[i], s);
+  }
+  expect(d.selected, argmax, "selected");
+  // Eq. 5 on sharpened confidences, then the Eq. 3-4 mixture of the
+  // posterior means (the estimate where a posterior is empty).
+  geo::Vec2 fused{};
+  for (std::size_t i = 0; i < n; ++i) {
+    expect(d.weight[i],
+           sharp_sum > 0.0 ? std::pow(d.confidence[i], s) / sharp_sum : 0.0,
+           "weight[" + std::to_string(i) + "]");
+    if (d.weight[i] <= 0.0) continue;
+    geo::Vec2 mean = d.outputs[i].estimate;
+    if (!d.outputs[i].posterior.empty()) {
+      geo::Vec2 sum{};
+      double mass = 0.0;
+      for (const schemes::WeightedPoint& p : d.outputs[i].posterior.support) {
+        sum += p.pos * p.weight;
+        mass += p.weight;
+      }
+      mean = mass > 0.0 ? sum / mass : geo::Vec2{};
+    }
+    fused += mean * d.weight[i];
+  }
+  if (sharp_sum > 0.0) {
+    expect(d.uniloc2.x, fused.x, "fused x");
+    expect(d.uniloc2.y, fused.y, "fused y");
+  }
+  // Sec. IV duty cycle: GPS off indoors; outdoors on iff its feature-free
+  // predicted error is no worse than every available other scheme's.
+  expect(d.gps_enable_next,
+         !d.indoor && (gps_index >= 0 ? gps_mu : inf) <= best_other,
+         "gps_enable_next");
+  return bad;
+}
 
 Verdict run_case(const CaseSpec& spec, const core::TrainedModels& models,
                  const OracleOptions& opts) {

@@ -2,6 +2,10 @@
 // invariants the paper's correctness story rests on. Whatever the
 // generated world, gait, fault schedule, crash points or fleet churn do:
 //
+//   I0  Every served decision obeys the paper's arithmetic: tau, the
+//       Eq. 2 confidences, UniLoc1's argmax, the Eq. 3-5 weights and
+//       fused mean, and the Sec. IV GPS duty-cycle rule all match an
+//       independent recomputation (check_paper_equations).
 //   I1  BMA weights are a proper distribution over the AVAILABLE schemes
 //       (each in [0,1], zero where unavailable, summing to 1 whenever
 //       anything ran) -- the posterior stays a distribution.
@@ -18,12 +22,10 @@
 //   I7  The fleet is invisible: a ShardRouter over N shards -- through
 //       migration rotation and membership churn -- serves the exact
 //       stream of a single server, and no session is ever lost.
-//   I8  Vectorization and batching are invisible: a pass through the
-//       cross-session EpochBatcher (epoch_batch = spec.batch) with the
-//       SIMD kernels forced OFF (stats::ScopedSimd) reproduces the base
-//       pass -- which runs unbatched with the kernels ON -- bit for bit.
-//       One comparison pins both equalities: batched == unbatched and
-//       scalar == vector, NaN-aware like every pass comparison.
+//   I8  Vectorization is invisible: a pass with the SIMD kernels forced
+//       OFF (stats::ScopedSimd) reproduces the base pass -- which runs
+//       with the kernels ON -- bit for bit, NaN-aware like every pass
+//       comparison.
 //   I9  Delta-chain durability is invisible: a run that checkpoints via
 //       keyframe+delta waves (dirty sessions only) and restores every
 //       scripted crash through collapse_chain is bit-identical to the
@@ -38,6 +40,7 @@
 #include <vector>
 
 #include "core/trainer.h"
+#include "core/uniloc.h"
 #include "proptest/case.h"
 
 namespace uniloc::proptest {
@@ -62,6 +65,18 @@ struct OracleOptions {
   bool check_batch{true};
   bool check_delta_chain{true};
 };
+
+/// I0: recompute, from one decision's own outputs and predictions, tau
+/// (mean available mu), each confidence c_i = Phi((tau - mu_i)/sigma_i),
+/// UniLoc1's first-max argmax, each weight c_i^s / sum c^s (s = the
+/// default UnilocConfig::confidence_sharpness), the fused mean of the
+/// available posteriors (the estimate where a posterior is empty) and
+/// the GPS duty bit: off indoors, and outdoors on iff `gps_mu` (the GPS
+/// model's feature-free mean) is <= the best available other mu.
+/// `gps_index` is the GPS scheme's slot (-1: none registered). Shares no
+/// code with core/confidence.*. Returns one message per mismatch.
+std::vector<std::string> check_paper_equations(const core::EpochDecision& d,
+                                               int gps_index, double gps_mu);
 
 /// Run `spec` and return every invariant violation found. `models` is
 /// the shared trained-model set (training is the expensive part; the

@@ -104,10 +104,11 @@ CaseSpec shrink_case(const CaseSpec& failing, const FailFn& still_fails,
                               [](CaseSpec& c, std::uint32_t v) {
                                 c.workers = v;
                               });
-    s.minimize<std::uint32_t>(s.best().batch, 0,
-                              [](CaseSpec& c, std::uint32_t v) {
-                                c.batch = v;
-                              });
+    {
+      CaseSpec c = s.best();
+      c.batch = false;
+      s.accept(c);
+    }
     s.minimize<std::uint32_t>(s.best().shards, 1,
                               [](CaseSpec& c, std::uint32_t v) {
                                 c.shards = v;

@@ -1,4 +1,4 @@
-// Shared per-epoch state for the fast epoch pipeline.
+// Shared per-epoch state for the epoch pipeline.
 //
 // Several stages of one epoch query the same fingerprint database with the
 // same sensor scan and differ only in how many candidates they keep: the
@@ -10,9 +10,10 @@
 // One EpochContext lives inside each core::EpochScratch -- in src/svc,
 // the epoch arena of the worker thread serving the epoch -- and is
 // threaded to the schemes by Uniloc::update_fast through
-// LocalizationScheme::set_epoch_context. The reference pipeline never
-// installs a context, so it keeps recomputing from scratch -- the
-// differential suite compares exactly that pair.
+// LocalizationScheme::set_epoch_context. A scheme called with no context
+// installed computes every query unmemoized, from private buffers; the
+// kernel oracles in tests/test_differential.cc pin that both give the
+// same output.
 #pragma once
 
 #include <cstddef>
@@ -28,8 +29,8 @@ namespace uniloc::schemes {
 /// Working buffers of the schemes' update_into kernels. Each buffer is
 /// rewritten before it is read within one update_into call, so the
 /// schemes of an epoch -- and every session an arena serves -- take turns
-/// with one set. update() builds a private set per call instead: the
-/// reference pipeline never reads the context.
+/// with one set. update_into with no context installed builds a private
+/// set per call instead.
 struct SchemeScratch {
   filter::KernelScratch pf;       ///< Particle-filter predict/resample.
   std::vector<geo::Vec2> before;  ///< PDR pre-step positions (wall test).

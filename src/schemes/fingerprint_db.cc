@@ -222,7 +222,7 @@ double FingerprintDatabase::cached_distance(
   // Replays rssi_distance term by term: the scan loop in scan order, then
   // the fingerprint-only loop in ascending-id order (the flattened slice
   // preserves std::map iteration order). No addition is reordered, so the
-  // result is bit-identical to the reference (tests/test_differential.cc).
+  // result is bit-identical to rssi_distance (tests/test_differential.cc).
   if (scan.empty() && fps_[fp_index].rssi.empty()) {
     return std::numeric_limits<double>::max();
   }

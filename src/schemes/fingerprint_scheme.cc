@@ -26,44 +26,6 @@ void FingerprintScheme::reset(const StartCondition&) {
   if (opts_.calibrate_offset) calibrator_ = OffsetCalibrator();
 }
 
-SchemeOutput FingerprintScheme::update(const sim::SensorFrame& frame) {
-  SchemeOutput out;
-  std::vector<sim::ApReading> scan =
-      db_->source() == FingerprintDatabase::Source::kWifi ? frame.wifi
-                                                          : frame.cell;
-  if (scan.size() < opts_.min_transmitters || db_->empty()) return out;
-  if (opts_.calibrate_offset) {
-    scan = calibrator_.calibrate(std::move(scan), *db_);
-  }
-
-  const std::vector<Match> matches = db_->k_nearest(scan, opts_.top_k);
-  if (matches.empty()) return out;
-
-  out.available = true;
-  out.estimate = db_->fingerprints()[matches[0].index].pos;
-
-  // Softmax posterior over the top-K candidates, relative to the best
-  // distance so the temperature acts on the *gap* between candidates.
-  const double best = matches[0].distance;
-  for (const Match& m : matches) {
-    const double w =
-        std::exp(-(m.distance - best) / opts_.softmax_scale_db);
-    out.posterior.support.push_back({db_->fingerprints()[m.index].pos, w});
-  }
-  out.posterior.normalize();
-
-  // Public observables mirroring what a deployed RADAR exposes.
-  out.observables["num_transmitters"] = static_cast<double>(scan.size());
-  std::vector<double> top3;
-  for (std::size_t i = 0; i < matches.size() && i < 3; ++i) {
-    top3.push_back(matches[i].distance);
-  }
-  out.observables["top_distance"] = best;
-  out.observables["top3_distance_sd"] =
-      top3.size() >= 2 ? stats::stddev(top3) : 0.0;
-  return out;
-}
-
 void FingerprintScheme::update_into(const sim::SensorFrame& frame,
                                     SchemeOutput& out) {
   // Key lengths: "num_transmitters" (16) and "top3_distance_sd" (16)
@@ -88,11 +50,12 @@ void FingerprintScheme::update_into(const sim::SensorFrame& frame,
     scan = &scan_buf_;
   }
 
-  // The raw scan is the one other stages (fusion, the rssi_dist_sd
-  // feature) query this epoch, so its candidate evaluation is shared
-  // through the epoch context; a calibrated scan is private to this
-  // scheme and keeps its private scratch. Outside update_fast there is no
-  // arena to borrow buffers from, so the query stages in a private set.
+  // RADAR's nearest neighbour in signal space. The raw scan is the one
+  // other stages (fusion, the rssi_dist_sd feature) query this epoch, so
+  // its candidate evaluation is shared through the epoch context; a
+  // calibrated scan is private to this scheme and keeps its private
+  // scratch. Without an epoch context there is no arena to borrow
+  // buffers from, so the query stages in a private set.
   SchemeScratch own;
   SchemeScratch& buf = epoch_ctx_ != nullptr ? epoch_ctx_->buffers : own;
   std::vector<Match>& matches = buf.matches;
@@ -109,6 +72,8 @@ void FingerprintScheme::update_into(const sim::SensorFrame& frame,
   out.available = true;
   out.estimate = db_->fingerprints()[matches[0].index].pos;
 
+  // Softmax posterior over the top-K candidates, relative to the best
+  // distance so the temperature acts on the *gap* between candidates.
   const double best = matches[0].distance;
   out.posterior.support.clear();
   for (const Match& m : matches) {
@@ -118,6 +83,7 @@ void FingerprintScheme::update_into(const sim::SensorFrame& frame,
   }
   out.posterior.normalize();
 
+  // Public observables mirroring what a deployed RADAR exposes.
   out.observables[kNumTransmitters] = static_cast<double>(scan->size());
   std::vector<double>& top3 = buf.top3;
   top3.clear();

@@ -31,13 +31,14 @@ class FingerprintScheme final : public LocalizationScheme {
   std::string name() const override;
   SchemeFamily family() const override;
   void reset(const StartCondition& start) override;
-  SchemeOutput update(const sim::SensorFrame& frame) override;
   void update_into(const sim::SensorFrame& frame, SchemeOutput& out) override;
   void set_epoch_context(EpochContext* ctx) override { epoch_ctx_ = ctx; }
-  void snapshot_into(offload::ByteWriter& w) const override {
+  // The calibrator holds no particles: every context is lossless.
+  void snapshot_into(offload::ByteWriter& w,
+                     const SnapshotContext&) const override {
     calibrator_.snapshot_into(w);
   }
-  bool restore_from(offload::ByteReader& r) override {
+  bool restore_from(offload::ByteReader& r, const SnapshotContext&) override {
     return calibrator_.restore_from(r);
   }
 

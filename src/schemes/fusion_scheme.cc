@@ -13,43 +13,8 @@ FusionScheme::FusionScheme(const sim::Place* place,
                            const FingerprintDatabase* db, FusionOptions opts)
     : PdrScheme(place, opts.pdr), db_(db), opts_(opts) {}
 
-void FusionScheme::extra_reweight(const sim::SensorFrame& frame) {
-  if (frame.wifi.empty() || db_->empty()) return;
-
-  const std::vector<Match> candidates =
-      db_->k_nearest(frame.wifi, opts_.rssi_top_k);
-  if (candidates.empty()) return;
-
-  // RSSI likelihood of each candidate, relative to the best match.
-  // det_exp, not std::exp: the fast path evaluates the same weights and
-  // the two pipelines must agree bit for bit.
-  const double best = candidates[0].distance;
-  std::vector<double> rssi_w(candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    rssi_w[i] =
-        stats::det_exp(-(candidates[i].distance - best) / opts_.rssi_scale_db);
-  }
-
-  // Squared-distance form: (dx^2 + dy^2) * inv_sd2 feeds normal_pdf_sq
-  // directly, skipping the per-lane sqrt and division. Every fusion
-  // reweight path (this reference, the SIMD kernel, its scalar
-  // fallback) evaluates this exact expression so they stay
-  // bit-identical to each other.
-  const double inv_sd2 = 1.0 / (opts_.spatial_sd_m * opts_.spatial_sd_m);
-  pf().reweight([&](const filter::Particle& p) {
-    double like = opts_.floor_likelihood;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const geo::Vec2 fp_pos = db_->fingerprints()[candidates[i].index].pos;
-      const double dx = p.pos.x - fp_pos.x;
-      const double dy = p.pos.y - fp_pos.y;
-      like += rssi_w[i] * stats::normal_pdf_sq((dx * dx + dy * dy) * inv_sd2);
-    }
-    return like;
-  });
-}
-
-void FusionScheme::extra_reweight_fast(const sim::SensorFrame& frame,
-                                       SchemeScratch& buf) {
+void FusionScheme::extra_reweight(const sim::SensorFrame& frame,
+                                  SchemeScratch& buf) {
   if (frame.wifi.empty() || db_->empty()) return;
 
   // The WiFi scheme has typically evaluated this scan against the same
@@ -67,6 +32,7 @@ void FusionScheme::extra_reweight_fast(const sim::SensorFrame& frame,
   }
   if (candidates.empty()) return;
 
+  // RSSI likelihood of each candidate, relative to the best match.
   const double best = candidates[0].distance;
   std::vector<double>& rssi_w = buf.rssi_w;
   rssi_w.resize(candidates.size());
@@ -109,6 +75,9 @@ void FusionScheme::extra_reweight_fast(const sim::SensorFrame& frame,
     return;
   }
 #endif
+  // Squared-distance form: (dx^2 + dy^2) * inv_sd2 feeds normal_pdf_sq
+  // directly, skipping the per-lane sqrt and division. The SIMD kernel
+  // above evaluates this exact expression, so the two stay bit-identical.
   const double inv_sd2 = 1.0 / (opts_.spatial_sd_m * opts_.spatial_sd_m);
   pf().reweight([&](const filter::Particle& p) {
     double like = opts_.floor_likelihood;

@@ -40,9 +40,8 @@ class FusionScheme final : public PdrScheme {
   }
 
  protected:
-  void extra_reweight(const sim::SensorFrame& frame) override;
-  void extra_reweight_fast(const sim::SensorFrame& frame,
-                           SchemeScratch& buf) override;
+  void extra_reweight(const sim::SensorFrame& frame,
+                      SchemeScratch& buf) override;
 
  private:
   const FingerprintDatabase* db_;

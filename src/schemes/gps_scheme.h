@@ -18,7 +18,6 @@ class GpsScheme final : public LocalizationScheme {
   std::string name() const override { return "GPS"; }
   SchemeFamily family() const override { return SchemeFamily::kGps; }
   void reset(const StartCondition& start) override;
-  SchemeOutput update(const sim::SensorFrame& frame) override;
   void update_into(const sim::SensorFrame& frame, SchemeOutput& out) override;
 
  private:

@@ -38,12 +38,13 @@ double HorusScheme::log_likelihood(const std::vector<sim::ApReading>& scan,
   return ll;
 }
 
-SchemeOutput HorusScheme::update(const sim::SensorFrame& frame) {
-  SchemeOutput out;
+void HorusScheme::update_into(const sim::SensorFrame& frame,
+                              SchemeOutput& out) {
+  out.available = false;
   const std::vector<sim::ApReading>& scan =
       db_->source() == FingerprintDatabase::Source::kWifi ? frame.wifi
                                                           : frame.cell;
-  if (scan.size() < opts_.min_transmitters || db_->empty()) return out;
+  if (scan.size() < opts_.min_transmitters || db_->empty()) return;
 
   // Log-likelihood per fingerprint; keep the top-K as posterior support.
   std::vector<std::pair<double, std::size_t>> scored;
@@ -52,7 +53,7 @@ SchemeOutput HorusScheme::update(const sim::SensorFrame& frame) {
     const double ll = log_likelihood(scan, db_->fingerprints()[i]);
     if (ll > -1e17) scored.emplace_back(ll, i);
   }
-  if (scored.empty()) return out;
+  if (scored.empty()) return;
   const std::size_t k = std::min(opts_.top_k, scored.size());
   std::partial_sort(scored.begin(), scored.begin() + static_cast<long>(k),
                     scored.end(), std::greater<>());
@@ -61,6 +62,7 @@ SchemeOutput HorusScheme::update(const sim::SensorFrame& frame) {
   // MAP fingerprint is the point estimate (as in Horus).
   out.estimate = db_->fingerprints()[scored[0].second].pos;
   const double best_ll = scored[0].first;
+  out.posterior.support.clear();
   for (std::size_t i = 0; i < k; ++i) {
     out.posterior.support.push_back(
         {db_->fingerprints()[scored[i].second].pos,
@@ -69,7 +71,6 @@ SchemeOutput HorusScheme::update(const sim::SensorFrame& frame) {
   out.posterior.normalize();
   out.observables["num_transmitters"] = static_cast<double>(scan.size());
   out.observables["map_log_likelihood"] = best_ll;
-  return out;
 }
 
 }  // namespace uniloc::schemes

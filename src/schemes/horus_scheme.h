@@ -37,7 +37,7 @@ class HorusScheme final : public LocalizationScheme {
                : SchemeFamily::kCellFingerprint;
   }
   void reset(const StartCondition& start) override;
-  SchemeOutput update(const sim::SensorFrame& frame) override;
+  void update_into(const sim::SensorFrame& frame, SchemeOutput& out) override;
 
   /// Log-likelihood of a scan under one fingerprint's distributions.
   double log_likelihood(const std::vector<sim::ApReading>& scan,

@@ -42,22 +42,20 @@ void PdrScheme::attach_metrics(obs::MetricsRegistry* registry) {
   output_us_ = &registry->histogram(prefix + "output_us");
 }
 
-void PdrScheme::apply_map_constraint(bool fast) {
+void PdrScheme::apply_map_constraint() {
   if (!opts_.use_map || place_ == nullptr) return;
   // Pin the env index once for the whole pass -- per-particle
   // corridor_safe_fast/environment_at_fast calls each pay an atomic
   // shared_ptr copy, and this lambda runs ~300x2 times per epoch.
   const sim::Place::EnvView env_view = place_->env_view();
-  pf_.reweight([this, fast, &env_view](const filter::Particle& p) {
+  pf_.reweight([this, &env_view](const filter::Particle& p) {
     // Corridor-safe cells: the full environment computation below is
     // guaranteed to land in the `beyond <= 0` branch and return exactly
-    // 1.0 (see Place::corridor_safe_fast), so the fast path skips the
-    // walkway projections -- the dominant cost of this constraint --
-    // without changing any weight.
-    if (fast && env_view.corridor_safe(p.pos)) return 1.0;
-    const sim::LocalEnvironment env = fast
-                                          ? env_view.environment(p.pos)
-                                          : place_->environment_at(p.pos);
+    // 1.0 (see Place::corridor_safe_fast), so skip the walkway
+    // projections -- the dominant cost of this constraint -- without
+    // changing any weight.
+    if (env_view.corridor_safe(p.pos)) return 1.0;
+    const sim::LocalEnvironment env = env_view.environment(p.pos);
     const double beyond =
         std::max(0.0, env.distance_to_walkway - env.corridor_width_m / 2.0);
     if (beyond <= 0.0) return 1.0;
@@ -103,26 +101,7 @@ void PdrScheme::apply_wall_constraint(const std::vector<geo::Vec2>& before) {
   });
 }
 
-void PdrScheme::extra_reweight(const sim::SensorFrame&) {}
-
-void PdrScheme::extra_reweight_fast(const sim::SensorFrame& frame,
-                                    SchemeScratch&) {
-  extra_reweight(frame);
-}
-
-SchemeOutput PdrScheme::make_output() const {
-  SchemeOutput out;
-  out.available = started_;
-  if (!started_) return out;
-  out.estimate = pf_.mean();
-  for (std::size_t i = 0; i < pf_.size(); ++i) {
-    out.posterior.support.push_back({pf_.pos(i), pf_.weight(i)});
-  }
-  out.posterior.normalize();
-  out.observables["dist_since_landmark"] = dist_since_landmark_;
-  out.observables["particle_spread"] = pf_.spread();
-  return out;
-}
+void PdrScheme::extra_reweight(const sim::SensorFrame&, SchemeScratch&) {}
 
 void PdrScheme::make_output_into(SchemeOutput& out) const {
   obs::ScopedTimer timer(output_us_);
@@ -142,7 +121,7 @@ void PdrScheme::make_output_into(SchemeOutput& out) const {
   out.observables[kParticleSpread] = pf_.spread();
 }
 
-void PdrScheme::step_epoch(const sim::SensorFrame& frame, bool fast,
+void PdrScheme::step_epoch(const sim::SensorFrame& frame,
                            SchemeScratch& buf) {
   const StepInference inf = frontend_.process(frame.imu);
   std::vector<geo::Vec2>& before = buf.before;
@@ -160,25 +139,14 @@ void PdrScheme::step_epoch(const sim::SensorFrame& frame, bool fast,
   if (!before.empty()) apply_wall_constraint(before);
   {
     obs::ScopedTimer t(map_us_);
-    apply_map_constraint(fast);
+    apply_map_constraint();
   }
   {
     obs::ScopedTimer t(extra_us_);
-    if (fast) {
-      extra_reweight_fast(frame, buf);
-    } else {
-      extra_reweight(frame);
-    }
+    extra_reweight(frame, buf);
   }
   apply_landmarks(frame);
   pf_.resample(buf.pf);
-}
-
-SchemeOutput PdrScheme::update(const sim::SensorFrame& frame) {
-  if (!started_) return {};
-  SchemeScratch own;
-  step_epoch(frame, /*fast=*/false, own);
-  return make_output();
 }
 
 void PdrScheme::update_into(const sim::SensorFrame& frame, SchemeOutput& out) {
@@ -186,20 +154,11 @@ void PdrScheme::update_into(const sim::SensorFrame& frame, SchemeOutput& out) {
     out.available = false;
     return;
   }
-  // Outside update_fast there is no arena to borrow; an empty private set
-  // costs nothing until a kernel grows it.
+  // Without an epoch context there is no arena to borrow; an empty
+  // private set costs nothing until a kernel grows it.
   SchemeScratch own;
-  step_epoch(frame, /*fast=*/true,
-             epoch_ctx_ != nullptr ? epoch_ctx_->buffers : own);
+  step_epoch(frame, epoch_ctx_ != nullptr ? epoch_ctx_->buffers : own);
   make_output_into(out);
-}
-
-void PdrScheme::snapshot_into(offload::ByteWriter& w) const {
-  snapshot_into(w, SnapshotContext{});
-}
-
-bool PdrScheme::restore_from(offload::ByteReader& r) {
-  return restore_from(r, SnapshotContext{});
 }
 
 void PdrScheme::snapshot_into(offload::ByteWriter& w,

@@ -44,12 +44,9 @@ class PdrScheme : public LocalizationScheme {
   std::string name() const override { return "Motion"; }
   SchemeFamily family() const override { return SchemeFamily::kMotionPdr; }
   void reset(const StartCondition& start) override;
-  SchemeOutput update(const sim::SensorFrame& frame) override;
   void update_into(const sim::SensorFrame& frame, SchemeOutput& out) override;
   void set_epoch_context(EpochContext* ctx) override { epoch_ctx_ = ctx; }
   void attach_metrics(obs::MetricsRegistry* registry) override;
-  void snapshot_into(offload::ByteWriter& w) const override;
-  bool restore_from(offload::ByteReader& r) override;
   void snapshot_into(offload::ByteWriter& w,
                      const SnapshotContext& ctx) const override;
   bool restore_from(offload::ByteReader& r,
@@ -61,35 +58,27 @@ class PdrScheme : public LocalizationScheme {
 
  protected:
   /// Hook for subclasses (fusion) to add likelihood terms after the map
-  /// constraint but before resampling.
-  virtual void extra_reweight(const sim::SensorFrame& frame);
-
-  /// Fast-path twin of extra_reweight: must compute bit-identical weights
-  /// but may stage its work in `buf` and read the epoch context.
-  /// Defaults to extra_reweight.
-  virtual void extra_reweight_fast(const sim::SensorFrame& frame,
-                                   SchemeScratch& buf);
+  /// constraint but before resampling. May stage its work in `buf` and
+  /// read the epoch context.
+  virtual void extra_reweight(const sim::SensorFrame& frame,
+                              SchemeScratch& buf);
 
   filter::ParticleFilter& pf() { return pf_; }
   const sim::Place* place() const { return place_; }
   const PdrOptions& options() const { return opts_; }
-  /// The installed fast-path epoch context (null outside update_fast).
+  /// The installed epoch context (null outside Uniloc::update_fast).
   EpochContext* epoch_ctx() const { return epoch_ctx_; }
 
  private:
-  /// One epoch of filtering (predict, constraints, reweight, resample),
-  /// shared verbatim by update() and update_into() so both consume the
-  /// same RNG stream. `fast` only selects which extra_reweight twin runs;
+  /// One epoch of filtering (predict, constraints, reweight, resample);
   /// `buf` holds the epoch's working memory.
-  void step_epoch(const sim::SensorFrame& frame, bool fast,
-                  SchemeScratch& buf);
-  /// `fast` routes the per-particle environment lookup through the
-  /// Place's precomputed candidate index (bit-identical; see
-  /// Place::environment_at_fast). The reference path keeps the full scan.
-  void apply_map_constraint(bool fast);
+  void step_epoch(const sim::SensorFrame& frame, SchemeScratch& buf);
+  /// The per-particle environment lookup goes through the Place's
+  /// precomputed candidate index (Place::environment_at_fast,
+  /// bit-identical to environment_at).
+  void apply_map_constraint();
   void apply_wall_constraint(const std::vector<geo::Vec2>& before);
   void apply_landmarks(const sim::SensorFrame& frame);
-  SchemeOutput make_output() const;
   void make_output_into(SchemeOutput& out) const;
 
   const sim::Place* place_;

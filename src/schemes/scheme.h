@@ -90,8 +90,8 @@ struct Posterior {
   static Posterior gaussian(geo::Vec2 center, double sigma, int r = 3);
 
   /// gaussian() into a caller-owned posterior: identical support sequence
-  /// and weights, but the support buffer's capacity is reused (the fast
-  /// epoch path rebuilds the GPS posterior every epoch).
+  /// and weights, but the support buffer's capacity is reused (the epoch
+  /// pipeline rebuilds the GPS posterior every epoch).
   static void gaussian_into(geo::Vec2 center, double sigma, int r,
                             Posterior& out);
 };
@@ -114,6 +114,12 @@ struct StartCondition {
   double heading{0.0};
 };
 
+/// The one contract a user-integrated scheme implements. A scheme
+/// overrides name(), family(), reset() and update_into(); that is the
+/// whole integration cost besides its error model (Uniloc::add_scheme).
+/// A scheme with state that must survive a checkpoint also overrides the
+/// SnapshotContext pair; a scheme with internal stages worth timing
+/// overrides attach_metrics. Everything else has a working default.
 class LocalizationScheme {
  public:
   virtual ~LocalizationScheme() = default;
@@ -124,74 +130,70 @@ class LocalizationScheme {
   /// Prepare for a new walk starting at `start`.
   virtual void reset(const StartCondition& start) = 0;
 
-  /// Consume one epoch of sensor data and localize.
-  virtual SchemeOutput update(const sim::SensorFrame& frame) = 0;
+  /// Consume one epoch of sensor data and localize into `out`, a slot
+  /// the pipeline reuses from epoch to epoch. Consumers gate on
+  /// `out.available`, so an unavailable epoch may leave the rest of the
+  /// slot stale. The slot may last have been written by another
+  /// session's scheme -- the service's epoch arenas are per thread -- so
+  /// an epoch that reports `available` must write every field a consumer
+  /// reads: the estimate, the posterior, and every observable its
+  /// family's features look up (core/features.h). Reusing the slot's
+  /// buffers is what makes an epoch allocation-free.
+  virtual void update_into(const sim::SensorFrame& frame,
+                           SchemeOutput& out) = 0;
 
-  /// Fast-path variant: localize into a reused output object. The
-  /// contract (tests/test_differential.cc) is that every field a consumer
-  /// may read is bit-identical to update()'s result; consumers gate on
-  /// `out.available`, so implementations may leave stale estimate /
-  /// posterior / observables behind when the scheme is unavailable
-  /// (DESIGN.md section 11). The slot may last have been written by
-  /// another session's scheme -- the service's epoch arenas are per
-  /// thread -- so an implementation that reports `available` must write
-  /// every field a consumer reads (the posterior and every observable
-  /// its family's features look up). The default delegates to update()
-  /// -- correct for any scheme, zero-allocation only where overridden.
-  virtual void update_into(const sim::SensorFrame& frame, SchemeOutput& out) {
-    out = update(frame);
+  /// Convenience wrapper for offline training, examples and tests:
+  /// update_into on a fresh output.
+  virtual SchemeOutput update(const sim::SensorFrame& frame) {
+    SchemeOutput out;
+    update_into(frame, out);
+    return out;
   }
 
-  /// Install the shared fast-path epoch state (nullptr detaches). The
-  /// fast pipeline installs it before each epoch's update_into round and
+  /// Install the shared per-epoch state (nullptr detaches). The epoch
+  /// pipeline installs it before each epoch's update_into round and
   /// detaches it after the epoch, so schemes querying the same sensor
   /// scan share one candidate evaluation and their kernels borrow the
   /// arena's buffers (schemes/epoch_context.h). The context lives in an
   /// EpochScratch -- in the service, the arena of whichever worker thread
   /// serves the epoch -- so a scheme must not keep using it once the
-  /// epoch ends (DESIGN.md section 11). Default: the scheme keeps no
-  /// shared state. Only update_into may read the context; update() must
-  /// stay context-free (it is the reference the differential suite
-  /// compares against).
+  /// epoch ends (DESIGN.md section 11). Without a context, update_into
+  /// must give the same output from private buffers. Default: the scheme
+  /// keeps no shared state.
   virtual void set_epoch_context(EpochContext* ctx) { (void)ctx; }
 
   /// Attach internal-stage latency instrumentation to `registry`
   /// (nullptr detaches). Default: the scheme has no internal stages worth
-  /// timing; Uniloc already times the whole update() call per scheme.
+  /// timing; Uniloc already times the whole localize call per scheme.
   virtual void attach_metrics(obs::MetricsRegistry* registry) {
     (void)registry;
   }
 
   /// Serialize the scheme's persistent mutable state (everything reset()
-  /// initializes and update() evolves) for a session checkpoint. The
-  /// default covers stateless schemes: nothing written, restore succeeds.
+  /// initializes and update_into() evolves) for a session checkpoint;
+  /// `ctx.quantize` selects the fixed-point particle codec. The default
+  /// covers stateless schemes: nothing written, restore succeeds.
   /// Stateful schemes override both; restore_from must consume exactly
   /// the bytes snapshot_into wrote (the caller length-prefixes each
   /// scheme payload and verifies the framing), reject malformed input by
   /// returning false, and leave the scheme usable either way.
-  virtual void snapshot_into(offload::ByteWriter& w) const { (void)w; }
-  virtual bool restore_from(offload::ByteReader& r) {
-    (void)r;
+  virtual void snapshot_into(offload::ByteWriter& /*w*/,
+                             const SnapshotContext& /*ctx*/) const {}
+  virtual bool restore_from(offload::ByteReader& /*r*/,
+                            const SnapshotContext& /*ctx*/) {
     return true;
   }
 
-  /// Context-aware snapshot codec. Schemes that hold particle state
-  /// override these to honor `ctx.quantize`; the defaults delegate to
-  /// the context-free pair, so stateless schemes and schemes with no
-  /// quantizable state serialize identically under every context.
-  virtual void snapshot_into(offload::ByteWriter& w,
-                             const SnapshotContext& ctx) const {
-    (void)ctx;
-    snapshot_into(w);
+  /// The lossless codec: the pair above under the default context.
+  virtual void snapshot_into(offload::ByteWriter& w) const {
+    snapshot_into(w, SnapshotContext{});
   }
-  virtual bool restore_from(offload::ByteReader& r,
-                            const SnapshotContext& ctx) {
-    (void)ctx;
-    return restore_from(r);
+  virtual bool restore_from(offload::ByteReader& r) {
+    return restore_from(r, SnapshotContext{});
   }
 
-  /// Likelihood-cache query outcomes accumulated by this scheme's fast
-  /// path (update_into). Zero for schemes that do no RSSI matching. The
+  /// Likelihood-cache query outcomes accumulated by this scheme's
+  /// unmemoized queries. Zero for schemes that do no RSSI matching. The
   /// counters live in per-scheme scratch, so concurrent sessions (which
   /// own disjoint scheme instances) never contend.
   virtual std::uint64_t cache_hits() const { return 0; }

@@ -12,7 +12,7 @@
 namespace uniloc::stats {
 
 /// Standard normal probability density. Inline and built on det_exp so
-/// the scalar reference pipeline, the SIMD kernels and the UNILOC_NO_SIMD
+/// the scalar kernels, the SIMD kernels and the UNILOC_NO_SIMD
 /// fallback build all evaluate the identical operation sequence
 /// (DESIGN.md section 16).
 inline double normal_pdf(double x) {

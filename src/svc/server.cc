@@ -21,9 +21,9 @@ namespace uniloc::svc {
 namespace {
 
 /// The calling thread's epoch arena. Sessions hold state, threads hold
-/// scratch: every epoch this thread runs -- as a pool worker, a batch
-/// runner, the inline workers == 0 caller, or the ingress thread draining
-/// behind run_exclusive -- reuses this one EpochScratch, whichever
+/// scratch: every epoch this thread runs -- as a pool worker, the inline
+/// workers == 0 caller, or the ingress thread draining behind
+/// run_exclusive -- reuses this one EpochScratch, whichever
 /// session it serves. Nothing in it carries from one epoch to the next
 /// (core/epoch_scratch.h), so replies are unchanged.
 core::EpochScratch& thread_scratch() {
@@ -40,9 +40,7 @@ LocalizationServer::LocalizationServer(ServerConfig cfg,
       factory_(std::move(factory)),
       registry_(registry),
       sessions_(cfg_.stripes),
-      pool_(ThreadPool::Config{cfg_.workers, cfg_.pool_queue_capacity}),
-      batcher_(pool_, cfg_.epoch_batch,
-               static_cast<std::size_t>(std::max(1, cfg_.workers))) {
+      pool_(ThreadPool::Config{cfg_.workers, cfg_.pool_queue_capacity}) {
   if (registry != nullptr) {
     // Instruments are resolved once here, before any worker can observe;
     // the registry map itself is never touched from a worker thread.
@@ -243,15 +241,10 @@ void LocalizationServer::handle_epoch(Frame frame, const Promise& promise) {
     return;
   }
   count_accepted();
-  if (verdict == Session::Enqueue::kStartDrain) {
-    if (cfg_.epoch_batch > 1) {
-      // Batched dispatch: coalesce this wakeup with other drainable
-      // sessions so one runner task serves the burst (svc/batcher.h).
-      batcher_.submit(session);
-    } else if (!pool_.post([session] { session->drain(); })) {
-      // Pool is stopping: drain inline so no promise is left dangling.
-      session->drain();
-    }
+  if (verdict == Session::Enqueue::kStartDrain &&
+      !pool_.post([session] { session->drain(); })) {
+    // Pool is stopping: drain inline so no promise is left dangling.
+    session->drain();
   }
 }
 
@@ -323,37 +316,26 @@ void LocalizationServer::run_epoch(Session& session,
         session.uniloc().scheme_cache_misses() + scratch.cache_misses()};
   };
   const auto [hits0, misses0] = cache_totals();
-  core::EpochDecision ref_decision;
-  const core::EpochDecision* decision_ptr;
-  {
-    obs::SpanHandle locate_span;
-    std::optional<obs::TraceScope> scope;
-    if (tracer != nullptr) {
-      locate_span = tracer->begin("svc.locate", "svc", root.trace_id,
-                                  root.span_id, session_id);
-      // Core-layer spans (per-scheme localize, fusion) adopt this
-      // ambient context inside update()/update_fast().
-      scope.emplace(obs::TraceContext{root.trace_id, locate_span.span_id,
-                                      session_id});
-    }
-    if (cfg_.use_fast_path) {
-      decision_ptr = &session.uniloc().update_fast(req->frame, scratch);
-    } else {
-      ref_decision = session.uniloc().update(req->frame);
-      decision_ptr = &ref_decision;
-    }
-    if (tracer != nullptr) tracer->end(locate_span);
+  obs::SpanHandle locate_span;
+  std::optional<obs::TraceScope> scope;
+  if (tracer != nullptr) {
+    locate_span = tracer->begin("svc.locate", "svc", root.trace_id,
+                                root.span_id, session_id);
+    // Core-layer spans (per-scheme localize, fusion) adopt this ambient
+    // context inside update_fast().
+    scope.emplace(
+        obs::TraceContext{root.trace_id, locate_span.span_id, session_id});
   }
-  const core::EpochDecision& decision = *decision_ptr;
+  const core::EpochDecision& decision =
+      session.uniloc().update_fast(req->frame, scratch);
+  if (tracer != nullptr) tracer->end(locate_span);
+  scope.reset();
   const double locate_us = stage.elapsed_us();
 
-  std::uint64_t hits_delta = 0, misses_delta = 0, scratch_bytes = 0;
-  if (cfg_.use_fast_path) {
-    const auto [hits1, misses1] = cache_totals();
-    hits_delta = hits1 - hits0;
-    misses_delta = misses1 - misses0;
-    scratch_bytes = scratch.bytes();
-  }
+  const auto [hits1, misses1] = cache_totals();
+  const std::uint64_t hits_delta = hits1 - hits0;
+  const std::uint64_t misses_delta = misses1 - misses0;
+  const std::size_t scratch_bytes = scratch.bytes();
 
   stage.restart();
   {
@@ -402,16 +384,14 @@ void LocalizationServer::run_epoch(Session& session,
 
   if (cfg_.on_epoch) cfg_.on_epoch(session_id, decision);
 
-  if (cfg_.use_fast_path) {
-    if (ins_.perf_cache_hits != nullptr && hits_delta > 0) {
-      ins_.perf_cache_hits->inc(hits_delta);
-    }
-    if (ins_.perf_cache_misses != nullptr && misses_delta > 0) {
-      ins_.perf_cache_misses->inc(misses_delta);
-    }
-    if (ins_.perf_scratch_bytes != nullptr) {
-      ins_.perf_scratch_bytes->set(static_cast<double>(scratch_bytes));
-    }
+  if (ins_.perf_cache_hits != nullptr && hits_delta > 0) {
+    ins_.perf_cache_hits->inc(hits_delta);
+  }
+  if (ins_.perf_cache_misses != nullptr && misses_delta > 0) {
+    ins_.perf_cache_misses->inc(misses_delta);
+  }
+  if (ins_.perf_scratch_bytes != nullptr) {
+    ins_.perf_scratch_bytes->set(static_cast<double>(scratch_bytes));
   }
 
   std::lock_guard<std::mutex> lock(ins_.mu);
@@ -636,7 +616,7 @@ std::vector<std::uint8_t> LocalizationServer::snapshot() {
       const std::size_t len_pos = w.size();
       w.put_u32(0);
       const std::size_t start = w.size();
-      s->uniloc().snapshot_into(w);
+      s->uniloc().snapshot_into(w, /*quantize=*/false);
       w.patch_u32(len_pos, static_cast<std::uint32_t>(w.size() - start));
     });
   }
@@ -727,7 +707,7 @@ std::optional<std::vector<std::uint8_t>> LocalizationServer::extract_session(
   const std::size_t len_pos = w.size();
   w.put_u32(0);
   const std::size_t start = w.size();
-  session->uniloc().snapshot_into(w);
+  session->uniloc().snapshot_into(w, /*quantize=*/false);
   w.patch_u32(len_pos, static_cast<std::uint32_t>(w.size() - start));
 
   sessions_.erase(id);

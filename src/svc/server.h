@@ -38,7 +38,6 @@
 #include "core/uniloc.h"
 #include "obs/span.h"
 #include "obs/timer.h"
-#include "svc/batcher.h"
 #include "svc/committer.h"
 #include "svc/endpoint.h"
 #include "svc/session_manager.h"
@@ -70,12 +69,6 @@ struct ServerConfig {
   /// turns overload into explicit kBackpressure replies.
   std::size_t inbox_capacity{8};
   std::size_t pool_queue_capacity{4096};
-  /// Cross-session epoch batching (svc/batcher.h): sessions that become
-  /// drainable are coalesced into runner tasks that drain up to this many
-  /// back to back, instead of one pool post per session. <= 1 keeps the
-  /// classic one-post-per-session dispatch. Works in every mode; with
-  /// workers == 0 the batch path runs inline and stays deterministic.
-  std::size_t epoch_batch{1};
   double idle_ttl_s{300.0};
   /// Sessions are TTL-scanned every this many accepted frames (plus on
   /// every explicit evict_idle() call).
@@ -86,11 +79,6 @@ struct ServerConfig {
   /// these waits across sessions exactly like a real synchronous server;
   /// 0 (the default) disables the wait for unit tests and replays.
   std::chrono::microseconds simulated_network{0};
-  /// Run epochs through core::Uniloc::update_fast against the serving
-  /// thread's epoch arena (zero steady-state allocations per epoch;
-  /// decisions bit-identical to the reference update()). false keeps the
-  /// reference pipeline -- the differential chaos tests drive both.
-  bool use_fast_path{true};
   /// Injectable clock (microseconds, monotonic) for deterministic TTL
   /// tests; defaults to steady_clock. sim::VirtualClock::now_fn() plugs
   /// in here.
@@ -278,9 +266,9 @@ class LocalizationServer : public Endpoint {
     obs::Histogram* parse_us{nullptr};
     obs::Histogram* locate_us{nullptr};
     obs::Histogram* net_us{nullptr};
-    // Fast-path pipeline health (populated only when use_fast_path):
-    // likelihood-cache outcomes aggregated across sessions, and the
-    // footprint of the arena that served the most recent epoch.
+    // Epoch pipeline health: likelihood-cache outcomes aggregated across
+    // sessions, and the footprint of the arena that served the most
+    // recent epoch.
     obs::Counter* perf_cache_hits{nullptr};
     obs::Counter* perf_cache_misses{nullptr};
     obs::Gauge* perf_scratch_bytes{nullptr};
@@ -316,7 +304,6 @@ class LocalizationServer : public Endpoint {
   obs::MetricsRegistry* registry_{nullptr};  ///< For statusz dumps.
   SessionManager sessions_;
   ThreadPool pool_;
-  EpochBatcher batcher_;
   Instruments ins_;
   std::mutex lifecycle_mu_;  ///< Guards stopping_ + accepted_count_.
   bool stopping_{false};

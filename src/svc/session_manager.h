@@ -107,10 +107,10 @@ class Session {
   mutable std::mutex mu_;
   /// Pending-task ring: index math over a never-shrinking vector rather
   /// than std::deque, whose block cursor allocates a fresh node every
-  /// ~16 tasks even in steady push/pop cycles. The batched drain path's
-  /// contract is zero steady-state allocations
-  /// (tests/test_perf_contracts.cc), so the ring grows geometrically on
-  /// demand and then recycles its slots forever.
+  /// ~16 tasks even in steady push/pop cycles. The ring grows
+  /// geometrically on demand and then recycles its slots forever, so a
+  /// steady epoch stream costs the inbox no allocation
+  /// (tests/test_perf_contracts.cc).
   std::vector<Task> inbox_;
   std::size_t inbox_head_{0};
   std::size_t inbox_count_{0};

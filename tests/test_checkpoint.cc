@@ -3,7 +3,7 @@
 // The snapshot codec (svc/checkpoint.h) claims that a server killed at an
 // arbitrary round and restored from its latest checkpoint serves the
 // exact epoch stream of an uninterrupted run. These tests hold it to that
-// claim the same way the fast-path differential suite does -- bit-for-bit
+// claim the same way the worker and fleet differentials do -- bit-for-bit
 // comparisons, never tolerances:
 //
 //   * codec round trips at every layer (RNG engine, particle filter,

@@ -1,33 +1,39 @@
-// Differential harness: fast path vs reference pipeline, bit-for-bit.
+// Differential harness, tolerance-free (EXPECT_EQ on doubles, never
+// EXPECT_NEAR):
 //
-// The fast epoch pipeline (Uniloc::update_fast + scheme update_into + the
-// fingerprint likelihood cache + the SoA particle filter) claims to be a
-// pure optimization: same RNG stream, same floating-point summation
-// orders, same decisions. These tests hold it to that claim with
-// tolerance-free comparisons -- EXPECT_EQ on doubles, never EXPECT_NEAR:
-//
-//   * every one of the eight campus paths, fault-free, core runner level;
-//   * a 32-seed sweep on the office venue;
-//   * service level under seeded chaos (drops, corruption, a blackout),
-//     at workers 0 and 4, on the campus deployment covering all paths.
+//   * kernel oracles: environment_at_fast against environment_at on
+//     every builder venue and generated ones; k_nearest_memo and
+//     k_nearest_into against k_nearest on recorded campus scans; each
+//     standard scheme's update_into with the epoch context against none;
+//   * worker count: the service under seeded chaos at workers 0 and 4;
+//   * the fleet: a ShardRouter through migration churn, membership
+//     changes and whole-shard crashes serves the single server's stream.
 //
 // If an optimization ever reorders an FP sum or consumes one extra RNG
-// draw, the first diverging epoch is reported here, not as a mysterious
+// draw, the first diverging value is reported here, not as a mysterious
 // accuracy regression three benches later.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <tuple>
 #include <vector>
 
+#include "core/deployment.h"
 #include "core/runner.h"
 #include "core/trainer.h"
 #include "fault/crash.h"
 #include "fault/link.h"
 #include "fault/plan.h"
+#include "schemes/epoch_context.h"
 #include "shard/router.h"
 #include "sim/builders.h"
+#include "sim/walker.h"
+#include "stats/rng.h"
 #include "svc/loadgen.h"
 #include "svc/server.h"
 #include "testing_util.h"
@@ -47,76 +53,214 @@ const core::Deployment& office_deployment() {
   return testing_util::office_deployment();
 }
 
-/// Bitwise double equality, treating NaN == NaN (scheme_err is NaN where
-/// a scheme was unavailable).
+/// Bitwise double equality, treating NaN == NaN.
 void expect_same(double a, double b, const std::string& what) {
   if (std::isnan(a) && std::isnan(b)) return;
   EXPECT_EQ(a, b) << what;
 }
 
-void expect_identical_runs(const core::RunResult& ref,
-                           const core::RunResult& fast,
-                           const std::string& label) {
-  ASSERT_EQ(ref.epochs.size(), fast.epochs.size()) << label;
-  ASSERT_EQ(ref.scheme_names, fast.scheme_names) << label;
-  for (std::size_t e = 0; e < ref.epochs.size(); ++e) {
-    const core::EpochRecord& r = ref.epochs[e];
-    const core::EpochRecord& f = fast.epochs[e];
-    const std::string at = label + " epoch " + std::to_string(e);
-    EXPECT_EQ(r.indoor_detected, f.indoor_detected) << at;
-    EXPECT_EQ(r.gps_was_enabled, f.gps_was_enabled) << at;
-    EXPECT_EQ(r.uniloc1_choice, f.uniloc1_choice) << at;
-    EXPECT_EQ(r.oracle_choice, f.oracle_choice) << at;
-    expect_same(r.uniloc1_err, f.uniloc1_err, at + " uniloc1_err");
-    expect_same(r.uniloc2_err, f.uniloc2_err, at + " uniloc2_err");
-    expect_same(r.oracle_err, f.oracle_err, at + " oracle_err");
-    ASSERT_EQ(r.scheme_available.size(), f.scheme_available.size()) << at;
-    for (std::size_t i = 0; i < r.scheme_available.size(); ++i) {
-      const std::string si = at + " scheme " + ref.scheme_names[i];
-      EXPECT_EQ(r.scheme_available[i], f.scheme_available[i]) << si;
-      expect_same(r.scheme_err[i], f.scheme_err[i], si + " err");
-      expect_same(r.predicted_mu[i], f.predicted_mu[i], si + " mu");
-      expect_same(r.confidence[i], f.confidence[i], si + " confidence");
-      expect_same(r.weight[i], f.weight[i], si + " weight");
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// ---------------------------------------------------------- kernel oracles
+
+/// Every LocalEnvironment field, doubles as bit patterns.
+auto env_fields(const sim::LocalEnvironment& e) {
+  return std::tuple(e.type, e.indoor, e.walkway, bits(e.corridor_width_m),
+                    bits(e.sky_visibility), bits(e.arclen),
+                    bits(e.distance_to_walkway));
+}
+
+TEST(KernelOracle, EnvIndexMatchesEnvironmentAtOnEveryVenue) {
+  std::vector<sim::Place> venues = {sim::campus(42), sim::office_place(42),
+                                    sim::open_space_place(42),
+                                    sim::mall_place(42), sim::campus_b(1234)};
+  stats::Rng rng(0xE5F);
+  for (int i = 0; i < 24; ++i) {
+    sim::RandomPlaceSpec spec;
+    spec.seed = 1000 + static_cast<std::uint64_t>(i);
+    spec.walkways = rng.uniform_int(1, 4);
+    spec.legs_per_walkway = rng.uniform_int(1, 6);
+    spec.leg_length_m = rng.uniform(4.0, 60.0);
+    spec.venue_mix = i % 4;
+    venues.push_back(sim::random_place(spec));
+  }
+  std::size_t probes = 0, safe_hits = 0;
+  for (std::size_t v = 0; v < venues.size(); ++v) {
+    const sim::Place& place = venues[v];
+    place.prebuild_env_index();
+    // The indexed lookup must equal the full scan field by field, and a
+    // corridor-safe verdict must hold under the full scan.
+    const auto probe = [&](geo::Vec2 p) {
+      ++probes;
+      const sim::LocalEnvironment ref = place.environment_at(p);
+      EXPECT_EQ(env_fields(ref), env_fields(place.environment_at_fast(p)))
+          << "venue " << v << " at (" << p.x << ", " << p.y << ")";
+      if (place.corridor_safe_fast(p)) {
+        ++safe_hits;
+        EXPECT_LE(ref.distance_to_walkway, ref.corridor_width_m / 2.0)
+            << "venue " << v << " at (" << p.x << ", " << p.y << ")";
+      }
+    };
+    // ~200k grid points over the index box and a 10 m rim, then random
+    // points over a 30 m rim (off-index fallbacks included).
+    const geo::BBox rim = place.bounds().inflated(10.0);
+    const double step =
+        std::max(0.1, std::sqrt(rim.width() * rim.height() / 200'000.0));
+    for (double y = rim.min.y; y <= rim.max.y; y += step) {
+      for (double x = rim.min.x; x <= rim.max.x; x += step) probe({x, y});
+    }
+    const geo::BBox wide = place.bounds().inflated(30.0);
+    for (int k = 0; k < 50'000; ++k) {
+      probe({rng.uniform(wide.min.x, wide.max.x),
+             rng.uniform(wide.min.y, wide.max.y)});
+    }
+    if (HasFailure()) return;  // one venue's report is enough
+  }
+  EXPECT_GT(probes, 5'000'000u);
+  EXPECT_GT(safe_hits, 0u) << "no probe ever took the corridor-safe branch";
+}
+
+/// One recorded walk: where it starts and every frame it produced.
+struct Walk {
+  schemes::StartCondition start;
+  std::vector<sim::SensorFrame> frames;
+};
+
+/// A walk along each of the eight campus paths, with the GPS off every
+/// fourth epoch so scheme availability flaps.
+const std::vector<Walk>& campus_walks() {
+  static const std::vector<Walk> walks = [] {
+    const core::Deployment& d = campus_deployment();
+    std::vector<Walk> out;
+    for (std::size_t w = 0; w < d.place->walkways().size(); ++w) {
+      sim::Walker walker(d.place.get(), d.radio.get(), w,
+                         sim::WalkConfig{.seed = 1000 + w});
+      Walk walk{{walker.start_position(), walker.start_heading()}, {}};
+      for (std::size_t e = 0; !walker.done(); ++e) {
+        walk.frames.push_back(walker.step(e % 4 != 3));
+      }
+      out.push_back(std::move(walk));
+    }
+    return out;
+  }();
+  return walks;
+}
+
+bool same_matches(const std::vector<schemes::Match>& a,
+                  const std::vector<schemes::Match>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const schemes::Match& x, const schemes::Match& y) {
+                      return x.index == y.index &&
+                             bits(x.distance) == bits(y.distance);
+                    });
+}
+
+TEST(KernelOracle, ScanMemoAndCacheMatchKNearestOnRecordedCampusScans) {
+  const core::Deployment& d = campus_deployment();
+  schemes::ScanMemo memo;
+  schemes::ScanScratch scratch;
+  std::vector<schemes::Match> got;
+  std::uint64_t tag = 0;
+  std::size_t memo_queries = 0;
+  // Every scan is copied into one buffer, as a server decodes each epoch
+  // into reused storage: only the tag tells the memo that a scan at the
+  // same address (and often of the same size) is a new one.
+  std::vector<sim::ApReading> scan;
+  scan.reserve(1024);
+  for (const schemes::FingerprintDatabase* db :
+       {d.wifi_db.get(), d.cell_db.get()}) {
+    ASSERT_TRUE(db->likelihood_cache_ready());
+    const std::size_t all = db->size() + 5;
+    for (const Walk& walk : campus_walks()) {
+      for (const sim::SensorFrame& frame : walk.frames) {
+        const std::vector<sim::ApReading>& heard =
+            db == d.wifi_db.get() ? frame.wifi : frame.cell;
+        scan.assign(heard.begin(), heard.end());
+        std::map<std::size_t, std::vector<schemes::Match>> ref;
+        for (const std::size_t k : {std::size_t{0}, std::size_t{3},
+                                    std::size_t{15}, std::size_t{20}, all}) {
+          ref[k] = db->k_nearest(scan, k);
+        }
+        // The pipeline's query order (scheme, fusion, feature), its
+        // reverse, then the degenerate bounds; one epoch (tag) per order.
+        for (const std::vector<std::size_t>& ks :
+             {std::vector<std::size_t>{20, 15, 3}, {3, 15, 20}, {0, all}}) {
+          ++tag;
+          for (const std::size_t k : ks) {
+            db->k_nearest_memo(scan, k, tag, memo, got);
+            ++memo_queries;
+            ASSERT_TRUE(same_matches(ref[k], got))
+                << "memo, t " << frame.t << " k " << k;
+            db->k_nearest_into(scan, k, scratch, got);
+            ASSERT_TRUE(same_matches(ref[k], got))
+                << "into, t " << frame.t << " k " << k;
+          }
+        }
+      }
     }
   }
+  EXPECT_GT(memo_queries, 40'000u);
+  EXPECT_GT(scratch.cache_hits, 0u);
 }
 
-/// One walk, reference vs fast, on freshly built (identically seeded)
-/// ensembles.
-void run_differential_walk(const core::Deployment& d, std::size_t walkway,
-                           std::uint64_t walk_seed,
-                           const std::string& label) {
-  core::RunOptions opts;
-  opts.walk.seed = walk_seed;
-
-  core::Uniloc ref_uniloc = core::make_uniloc(d, test_models());
-  opts.use_fast_path = false;
-  const core::RunResult ref = core::run_walk(ref_uniloc, d, walkway, opts);
-
-  core::Uniloc fast_uniloc = core::make_uniloc(d, test_models());
-  opts.use_fast_path = true;
-  const core::RunResult fast = core::run_walk(fast_uniloc, d, walkway, opts);
-
-  ASSERT_FALSE(ref.epochs.empty()) << label;
-  expect_identical_runs(ref, fast, label);
+/// Every field a consumer may read, bit for bit (consumers gate on
+/// `available`, so an unavailable output is compared on that alone).
+bool same_output(const schemes::SchemeOutput& a,
+                 const schemes::SchemeOutput& b) {
+  if (a.available != b.available) return false;
+  if (!a.available) return true;
+  const auto same_point = [](const schemes::WeightedPoint& p,
+                             const schemes::WeightedPoint& q) {
+    return bits(p.pos.x) == bits(q.pos.x) && bits(p.pos.y) == bits(q.pos.y) &&
+           bits(p.weight) == bits(q.weight);
+  };
+  const auto same_observable = [](const auto& p, const auto& q) {
+    return p.first == q.first && bits(p.second) == bits(q.second);
+  };
+  return bits(a.estimate.x) == bits(b.estimate.x) &&
+         bits(a.estimate.y) == bits(b.estimate.y) &&
+         std::equal(a.posterior.support.begin(), a.posterior.support.end(),
+                    b.posterior.support.begin(), b.posterior.support.end(),
+                    same_point) &&
+         std::equal(a.observables.begin(), a.observables.end(),
+                    b.observables.begin(), b.observables.end(),
+                    same_observable);
 }
 
-TEST(DifferentialCore, AllEightCampusPathsBitIdentical) {
+TEST(KernelOracle, SchemeOutputIsTheSameWithAndWithoutEpochContext) {
   const core::Deployment& d = campus_deployment();
-  ASSERT_EQ(d.place->walkways().size(), 8u)
-      << "campus venue is expected to carry the paper's eight daily paths";
-  for (std::size_t w = 0; w < d.place->walkways().size(); ++w) {
-    run_differential_walk(d, w, /*walk_seed=*/1000 + w,
-                          "campus path " + std::to_string(w));
-  }
-}
-
-TEST(DifferentialCore, SeedSweepBitIdentical) {
-  const core::Deployment& d = office_deployment();
-  for (std::uint64_t seed = 0; seed < 32; ++seed) {
-    run_differential_walk(d, seed % d.place->walkways().size(), 7'000 + seed,
-                          "office seed " + std::to_string(seed));
+  for (const bool calibrate : {false, true}) {
+    // Two identically seeded ensembles: one localizes with a shared epoch
+    // context installed (memo + arena buffers, as update_fast runs it),
+    // the other with none. Each keeps reusing its own output slots.
+    std::vector<schemes::SchemePtr> with =
+        core::make_standard_schemes(d, calibrate);
+    std::vector<schemes::SchemePtr> without =
+        core::make_standard_schemes(d, calibrate);
+    std::vector<schemes::SchemeOutput> with_out(with.size());
+    std::vector<schemes::SchemeOutput> without_out(without.size());
+    schemes::EpochContext ctx;
+    std::size_t compared = 0;
+    for (const Walk& walk : campus_walks()) {
+      for (std::size_t i = 0; i < with.size(); ++i) {
+        with[i]->reset(walk.start);
+        without[i]->reset(walk.start);
+      }
+      for (const sim::SensorFrame& frame : walk.frames) {
+        ++ctx.tag;
+        for (std::size_t i = 0; i < with.size(); ++i) {
+          with[i]->set_epoch_context(&ctx);
+          with[i]->update_into(frame, with_out[i]);
+          with[i]->set_epoch_context(nullptr);
+          without[i]->update_into(frame, without_out[i]);
+          ASSERT_TRUE(same_output(without_out[i], with_out[i]))
+              << with[i]->name() << (calibrate ? " calibrated" : "")
+              << ", t " << frame.t;
+          compared += with_out[i].available;
+        }
+      }
+    }
+    EXPECT_GT(compared, 10'000u);
   }
 }
 
@@ -151,12 +295,10 @@ svc::LoadGenConfig load_cfg_for(const fault::FaultPlan* plan,
 }
 
 svc::LoadReport run_load_scenario(const core::Deployment& d,
-                                  const fault::FaultPlan* plan,
-                                  bool use_fast_path, int workers,
+                                  const fault::FaultPlan* plan, int workers,
                                   std::uint64_t seed) {
   svc::ServerConfig cfg;
   cfg.workers = workers;
-  cfg.use_fast_path = use_fast_path;
   svc::LocalizationServer server(cfg, factory_for(d), nullptr);
   return run_load(server, d, load_cfg_for(plan, seed), nullptr);
 }
@@ -210,15 +352,6 @@ void expect_identical_reports(const svc::LoadReport& ref,
   }
 }
 
-TEST(DifferentialSvc, FaultFreeCampusServiceBitIdentical) {
-  const core::Deployment& d = campus_deployment();
-  const svc::LoadReport ref =
-      run_load_scenario(d, nullptr, /*fast=*/false, /*workers=*/0, 2024);
-  const svc::LoadReport fast =
-      run_load_scenario(d, nullptr, /*fast=*/true, /*workers=*/0, 2024);
-  expect_identical_reports(ref, fast, "clean");
-}
-
 TEST(DifferentialSvc, ChaosCampusServiceBitIdenticalAtWorkers0And4) {
   const core::Deployment& d = campus_deployment();
   fault::FaultRates rates;
@@ -229,13 +362,10 @@ TEST(DifferentialSvc, ChaosCampusServiceBitIdenticalAtWorkers0And4) {
   plan.add_blackout(6, 9);
 
   const svc::LoadReport ref =
-      run_load_scenario(d, &plan, /*fast=*/false, /*workers=*/0, 2024);
-  const svc::LoadReport fast0 =
-      run_load_scenario(d, &plan, /*fast=*/true, /*workers=*/0, 2024);
-  const svc::LoadReport fast4 =
-      run_load_scenario(d, &plan, /*fast=*/true, /*workers=*/4, 2024);
-  expect_identical_reports(ref, fast0, "chaos workers=0");
-  expect_identical_reports(ref, fast4, "chaos workers=4");
+      run_load_scenario(d, &plan, /*workers=*/0, 2024);
+  const svc::LoadReport pooled =
+      run_load_scenario(d, &plan, /*workers=*/4, 2024);
+  expect_identical_reports(ref, pooled, "chaos workers=4");
 }
 
 TEST(DifferentialSvc, ChaosSeedSweepBitIdentical) {
@@ -248,10 +378,10 @@ TEST(DifferentialSvc, ChaosSeedSweepBitIdentical) {
   fault::FaultPlan plan(11, rates);
   for (std::uint64_t seed = 100; seed < 132; ++seed) {
     const svc::LoadReport ref =
-        run_load_scenario(d, &plan, /*fast=*/false, /*workers=*/0, seed);
-    const svc::LoadReport fast =
-        run_load_scenario(d, &plan, /*fast=*/true, /*workers=*/4, seed);
-    expect_identical_reports(ref, fast, "seed " + std::to_string(seed));
+        run_load_scenario(d, &plan, /*workers=*/0, seed);
+    const svc::LoadReport pooled =
+        run_load_scenario(d, &plan, /*workers=*/4, seed);
+    expect_identical_reports(ref, pooled, "seed " + std::to_string(seed));
   }
 }
 
@@ -265,7 +395,7 @@ TEST(DifferentialSvc, ChaosSeedSweepBitIdentical) {
 TEST(DifferentialShard, FaultFreeFleetWithMigrationChurnBitIdentical) {
   const core::Deployment& d = campus_deployment();
   const svc::LoadReport ref =
-      run_load_scenario(d, nullptr, /*fast=*/true, /*workers=*/0, 2024);
+      run_load_scenario(d, nullptr, /*workers=*/0, 2024);
   // Every session hops one shard over every round: ~23 migrations per
   // walker over the run, none of them visible in a single reply bit.
   const svc::LoadReport fleet = run_fleet_scenario(
@@ -288,7 +418,7 @@ TEST(DifferentialShard, ChaosSeedSweepFleetBitIdentical) {
   fault::FaultPlan plan(11, rates);
   for (std::uint64_t seed = 100; seed < 132; ++seed) {
     const svc::LoadReport ref =
-        run_load_scenario(d, &plan, /*fast=*/true, /*workers=*/0, seed);
+        run_load_scenario(d, &plan, /*workers=*/0, seed);
     const svc::LoadReport fleet = run_fleet_scenario(
         d, &plan, /*shards=*/3, seed,
         [](shard::ShardRouter& r, std::size_t round) {
@@ -315,7 +445,7 @@ TEST(DifferentialShard, ShardCrashRecoveryBitIdenticalUnderLinkChaos) {
   fault::FaultPlan link_plan(5, rates);
 
   const svc::LoadReport ref =
-      run_load_scenario(d, &link_plan, /*fast=*/true, /*workers=*/0, 3030);
+      run_load_scenario(d, &link_plan, /*workers=*/0, 3030);
 
   fault::FaultPlan crash_plan(0, {});
   crash_plan.script_crash(5);

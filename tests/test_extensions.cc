@@ -207,12 +207,11 @@ class NanScheme final : public schemes::LocalizationScheme {
     return schemes::SchemeFamily::kOther;
   }
   void reset(const schemes::StartCondition&) override {}
-  schemes::SchemeOutput update(const sim::SensorFrame&) override {
-    schemes::SchemeOutput out;
+  void update_into(const sim::SensorFrame&,
+                   schemes::SchemeOutput& out) override {
     out.available = true;
     out.estimate = {std::numeric_limits<double>::quiet_NaN(), 0.0};
     out.posterior = schemes::Posterior::point(out.estimate);
-    return out;
   }
 };
 

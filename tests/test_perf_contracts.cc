@@ -48,7 +48,6 @@
 #include "sim/walker.h"
 #include "stats/rng_codec.h"
 #include "stats/simd.h"
-#include "svc/batcher.h"
 #include "svc/session_manager.h"
 #include "svc/thread_pool.h"
 #include "testing_util.h"
@@ -192,9 +191,9 @@ TEST(PerfContracts, UpdateFastIsAllocationFreeAfterWarmup) {
 }
 
 TEST(PerfContracts, ReferenceUpdateAllocatesProvingTheHookWorks) {
-  // Guard against a silently-disabled hook: the reference pipeline
-  // allocates its decision vectors every epoch, and the counter must see
-  // that.
+  // Guard against a silently-disabled hook: update() builds a fresh
+  // scratch and copies the decision out every epoch, and the counter must
+  // see those allocations.
   core::Deployment d = core::make_deployment(
       sim::office_place(42), core::DeploymentOptions{.seed = 42});
   core::Uniloc uniloc = core::make_uniloc(d, test_models());
@@ -409,64 +408,46 @@ TEST(PerfContracts, AllDistancesIntoMatchesReference) {
   }
 }
 
-// ------------------------------------------------- epoch batching
-
-// Sessions for driving the EpochBatcher in isolation: the Uniloc is never
-// touched (tasks are plain closures), so a null ensemble is fine.
-svc::SessionPtr bare_session(std::uint64_t id) {
-  return std::make_shared<svc::Session>(id, nullptr);
-}
+// ------------------------------------------------- epoch dispatch
 
 #if UNILOC_ALLOC_COUNTING
 
-TEST(PerfContracts, EpochBatcherSteadyStateIsAllocationFree) {
-  // After one warmup burst has grown the FIFO to capacity, handing a
-  // burst of drainable sessions to the batcher must not allocate: the
-  // head-indexed vector is compacted in place and sessions travel by
-  // shared_ptr. (The tasks themselves run too -- inline pool -- so the
-  // count covers the whole batched drain path.)
-  svc::ThreadPool pool({.workers = 0, .queue_capacity = 64});
-  svc::EpochBatcher batcher(pool, /*max_batch=*/4, /*max_runners=*/1);
-  std::vector<svc::SessionPtr> sessions;
-  for (std::uint64_t id = 1; id <= 8; ++id) {
-    sessions.push_back(bare_session(id));
-  }
+TEST(PerfContracts, SessionInboxSteadyStateIsAllocationFree) {
+  // Once a burst has grown a session's inbox ring to capacity, queueing
+  // and draining further bursts must not allocate: the ring recycles its
+  // slots (a std::deque would allocate a node every ~16 tasks).
+  svc::Session session(1, nullptr);  // plain closures: no Uniloc needed
   std::uint64_t ran = 0;
   const auto one_burst = [&] {
-    for (const svc::SessionPtr& s : sessions) {
+    for (int t = 0; t < 6; ++t) {
       // Pointer-capture lambda: fits std::function's small-buffer slot.
-      if (s->enqueue([&ran] { ++ran; }, /*capacity=*/8, /*now_us=*/0) ==
-          svc::Session::Enqueue::kStartDrain) {
-        batcher.submit(s);
-      }
+      session.enqueue([&ran] { ++ran; }, /*capacity=*/8, /*now_us=*/0);
     }
+    session.drain();
   };
   for (int warmup = 0; warmup < 3; ++warmup) one_burst();
-  const std::uint64_t before = ran;
-
   begin_counting();
   for (int i = 0; i < 20; ++i) one_burst();
-  const std::uint64_t allocs = end_counting();
-  EXPECT_EQ(allocs, 0u);
-  EXPECT_EQ(ran, before + 20u * sessions.size());
-  EXPECT_EQ(batcher.pending(), 0u);
+  EXPECT_EQ(end_counting(), 0u);
+  EXPECT_EQ(ran, 23u * 6u);
 }
 
 #endif  // UNILOC_ALLOC_COUNTING
 
 TEST(PerfContracts, BatchAssemblyNeverReordersEpochsWithinASession) {
-  // Concurrent runners (workers=2, max_batch=4) drain interleaved bursts
-  // from several sessions; every session must observe its own epochs in
-  // exact submission order -- the strand + kStartDrain handshake, not
-  // timing, is what guarantees it.
+  // The server's own dispatch on two workers: a session's first pending
+  // task schedules its drain on the pool, exactly as
+  // LocalizationServer::handle_epoch does. Interleaved bursts from
+  // several sessions must each run in exact submission order -- the
+  // strand + kStartDrain handshake, not timing, is what guarantees it.
   constexpr std::size_t kSessions = 3;
   constexpr int kEpochs = 200;
   svc::ThreadPool pool({.workers = 2, .queue_capacity = 1024});
-  svc::EpochBatcher batcher(pool, /*max_batch=*/4, /*max_runners=*/2);
   std::vector<svc::SessionPtr> sessions;
   std::vector<std::vector<int>> seen(kSessions);
   for (std::uint64_t id = 0; id < kSessions; ++id) {
-    sessions.push_back(bare_session(id + 1));
+    // The tasks are plain closures: the Uniloc is never touched.
+    sessions.push_back(std::make_shared<svc::Session>(id + 1, nullptr));
     seen[id].reserve(kEpochs);
   }
   for (int e = 0; e < kEpochs; ++e) {
@@ -474,12 +455,15 @@ TEST(PerfContracts, BatchAssemblyNeverReordersEpochsWithinASession) {
       // The strand serializes a session's tasks, so its `seen` vector is
       // only ever appended from one worker at a time.
       std::vector<int>* log = &seen[s];
+      const svc::SessionPtr session = sessions[s];
       for (;;) {
-        const svc::Session::Enqueue rc = sessions[s]->enqueue(
+        const svc::Session::Enqueue rc = session->enqueue(
             [log, e] { log->push_back(e); }, /*capacity=*/8, /*now_us=*/0);
-        if (rc == svc::Session::Enqueue::kStartDrain) batcher.submit(sessions[s]);
+        if (rc == svc::Session::Enqueue::kStartDrain) {
+          ASSERT_TRUE(pool.post([session] { session->drain(); }));
+        }
         if (rc != svc::Session::Enqueue::kBackpressure) break;
-        // Inbox full: wait for the runners to catch up, then retry so
+        // Inbox full: wait for the workers to catch up, then retry so
         // every epoch is delivered (the ordering check needs all 200).
         std::this_thread::yield();
       }
@@ -509,11 +493,6 @@ class AnchorScheme final : public schemes::LocalizationScheme {
   }
   void reset(const schemes::StartCondition& start) override {
     anchor_ = start.pos;
-  }
-  schemes::SchemeOutput update(const sim::SensorFrame& frame) override {
-    schemes::SchemeOutput out;
-    update_into(frame, out);
-    return out;
   }
   // Reports `available`, so it writes every field a consumer reads.
   void update_into(const sim::SensorFrame&,

@@ -3,20 +3,24 @@
 // acceptance: a violation shrinks to a minimal spec, is persisted, and
 // replays green once the bug is gone), and the real-oracle sweeps that
 // ARE the chaos harness -- generated venues, gaits, fault schedules,
-// crash points and fleet churn, checked against invariants I1-I7.
+// crash points and fleet churn, checked against invariants I0-I9 -- and
+// the I0 checker of the paper's Eq. 2-5 and duty-cycle arithmetic.
 //
 // Case counts scale with UNILOC_PROPTEST_CASES (scripts/check.sh: 64
 // quick, 512 deep); the defaults keep plain `ctest` fast.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/confidence.h"
 #include "proptest/case.h"
 #include "proptest/engine.h"
 #include "proptest/gen.h"
@@ -350,6 +354,57 @@ TEST(Shrink, BudgetCapsOracleEvaluations) {
       25, nullptr);
   EXPECT_LE(evals, 25u);
   EXPECT_TRUE(min.walkers >= 1 && min.epochs >= 1);
+}
+
+// ------------------------------------------------ the paper's arithmetic
+
+TEST(PaperEquations, CorrectDecisionPassesAndEachOneLineMistakeIsFlagged) {
+  // An outdoor GPS / WiFi / Motion decision built with the pipeline's own
+  // math (core/confidence for Eq. 2 and 5, posterior means for Eq. 4).
+  core::EpochDecision good;
+  good.outputs.resize(3);
+  good.outputs[0].estimate = {10.0, 0.0};  // empty posterior: the estimate
+  good.outputs[1].estimate = {4.0, 2.0};
+  good.outputs[1].posterior.support = {{{4.0, 2.0}, 0.75}, {{8.0, 6.0}, 0.25}};
+  good.outputs[2].posterior.support = {{{6.0, 1.0}, 0.5}, {{7.0, -1.0}, 0.5}};
+  for (schemes::SchemeOutput& o : good.outputs) o.available = true;
+  good.predicted_error = {{13.5, 4.0}, {6.0, 2.0}, {9.0, 3.0}};
+  good.indoor = false;
+  good.tau = core::adaptive_tau(good.predicted_error);
+  std::vector<double> sharpened;
+  for (const stats::Gaussian& g : good.predicted_error) {
+    good.confidence.push_back(core::confidence(g, good.tau));
+    sharpened.push_back(std::pow(good.confidence.back(), 4.0));
+  }
+  good.weight = core::bma_weights(sharpened);
+  good.selected = 1;  // WiFi: the smallest predicted error
+  good.uniloc2 = good.outputs[0].estimate * good.weight[0] +
+                 good.outputs[1].posterior.mean() * good.weight[1] +
+                 good.outputs[2].posterior.mean() * good.weight[2];
+  good.gps_enable_next = false;  // GPS mu 13.5 > WiFi mu 6.0
+  const auto flags = [](const core::EpochDecision& d) {
+    return proptest::check_paper_equations(d, /*gps_index=*/0, 13.5);
+  };
+  EXPECT_EQ(flags(good), std::vector<std::string>{});
+
+  using Mistake = void (*)(core::EpochDecision&);
+  const std::vector<std::pair<const char*, Mistake>> mistakes = {
+      {"tau", [](core::EpochDecision& d) { d.tau += 0.5; }},
+      {"confidence", [](core::EpochDecision& d) { d.confidence[2] *= 1.01; }},
+      {"argmax", [](core::EpochDecision& d) { d.selected = 2; }},
+      {"weight", [](core::EpochDecision& d) { d.weight[0] += 1e-3; }},
+      {"duty bit", [](core::EpochDecision& d) { d.gps_enable_next = true; }},
+  };
+  for (const auto& [name, inject] : mistakes) {
+    core::EpochDecision bad = good;
+    inject(bad);
+    EXPECT_FALSE(flags(bad).empty()) << "a wrong " << name << " went unflagged";
+  }
+  // Indoors the duty cycle keeps GPS off, whatever the predictions.
+  good.indoor = true;
+  EXPECT_EQ(flags(good), std::vector<std::string>{});
+  good.gps_enable_next = true;
+  EXPECT_FALSE(flags(good).empty());
 }
 
 // ----------------------------------------------- the real-oracle sweeps
