@@ -95,6 +95,13 @@ if [[ "${TSAN:-1}" != "0" ]]; then
   # through one arena bit-identical to their solo runs, memo slots
   # recycled across deployments, no epoch context left behind.
   ctest --test-dir "$TSAN_DIR" -R "$ARENA_TESTS" --output-on-failure -j "$JOBS"
+  # Wave-fill gate: with pool workers and a group committer, the
+  # committer thread fills checkpoint waves -- quiescing and serializing
+  # sessions while live epochs, hello/bye churn and backpressure
+  # fallbacks run on the other threads. The delta suite's committer and
+  # server-chain tests drive exactly those races.
+  cmake --build "$TSAN_DIR" -j "$JOBS" --target test_delta
+  ctest --test-dir "$TSAN_DIR" -L '^delta$' --output-on-failure -j "$JOBS"
 fi
 
 # Tier-2 gate B: the fault-injection path (svc + chaos labels: the

@@ -70,6 +70,7 @@ void GroupCommitter::run() {
 void GroupCommitter::commit_batch(std::vector<Request>& batch) {
   std::vector<bool> published(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (batch[i].fill) batch[i].bytes = batch[i].fill();
     published[i] =
         publish_no_dirsync(ops_, batch[i].dir, batch[i].name, batch[i].bytes);
   }

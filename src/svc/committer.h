@@ -1,11 +1,13 @@
 // Async group-commit thread for checkpoint publishes.
 //
-// Serializing a wave happens on the caller (it must quiesce session
-// strands), but the expensive part of durability -- write, fsync,
-// rename, directory fsync -- has no business blocking the serving path.
-// The GroupCommitter owns one background thread and a bounded queue of
-// publish requests. The thread drains whatever has accumulated as ONE
-// batch: each file is written and renamed individually, then a single
+// Durability -- write, fsync, rename, directory fsync -- has no
+// business blocking the serving path, and neither does producing the
+// bytes. The GroupCommitter owns one background thread and a bounded
+// queue of publish requests. A request carries either its bytes or a
+// `fill` that produces them on the committer thread (the server
+// serializes a wave there when it has pool workers). The thread drains
+// whatever has accumulated as ONE batch: each request is filled (in
+// queue order), written and renamed individually, then a single
 // fsync_dir per distinct directory makes the whole batch durable at
 // once. Under a burst of waves the directory fsync (the dominant
 // latency on real disks) is paid once per batch instead of once per
@@ -15,7 +17,7 @@
 // full (and counts it) instead of blocking or buffering unboundedly;
 // the caller decides whether to drop the wave (the next one supersedes
 // it) or fall back to a synchronous publish. flush() barriers: it
-// returns once everything enqueued before it is durable.
+// returns once everything enqueued before it is filled and durable.
 #pragma once
 
 #include <condition_variable>
@@ -44,6 +46,11 @@ class GroupCommitter {
     std::string dir;
     std::string name;
     std::vector<std::uint8_t> bytes;
+    /// Optional; when set, invoked on the committer thread just before
+    /// this request is written, in queue order, and its result replaces
+    /// `bytes`. A request refused by enqueue() keeps it, so the caller
+    /// can fill on its own thread instead.
+    std::function<std::vector<std::uint8_t>()> fill;
     /// Optional; invoked on the committer thread after this request's
     /// batch is durable (or with false on failure).
     std::function<void(bool ok)> done;
@@ -73,14 +80,14 @@ class GroupCommitter {
   bool enqueue(Request&& req);
 
   /// Block until every request enqueued before this call has been
-  /// committed or failed.
+  /// filled and committed or failed.
   void flush();
 
   Stats stats() const;
 
  private:
   void run();
-  /// Publish one batch: per-file write+rename, then one fsync_dir per
+  /// Publish one batch: per-file fill+write+rename, then one fsync_dir per
   /// distinct directory. Files whose write or rename failed do not
   /// block the rest of the batch.
   void commit_batch(std::vector<Request>& batch);

@@ -22,10 +22,11 @@ namespace {
 
 /// The calling thread's epoch arena. Sessions hold state, threads hold
 /// scratch: every epoch this thread runs -- as a pool worker, the inline
-/// workers == 0 caller, or the ingress thread draining behind
-/// run_exclusive -- reuses this one EpochScratch, whichever
-/// session it serves. Nothing in it carries from one epoch to the next
-/// (core/epoch_scratch.h), so replies are unchanged.
+/// workers == 0 caller, or a thread draining behind run_exclusive (a
+/// wave fill on the committer thread, a snapshot()) -- reuses this one
+/// EpochScratch, whichever session it serves. Nothing in it carries
+/// from one epoch to the next (core/epoch_scratch.h), so replies are
+/// unchanged.
 core::EpochScratch& thread_scratch() {
   thread_local core::EpochScratch scratch;
   return scratch;
@@ -464,63 +465,102 @@ void LocalizationServer::maybe_checkpoint() {
 }
 
 void LocalizationServer::checkpoint_wave_now() {
-  bool keyframe;
+  WaveHeader h;
   {
     std::lock_guard<std::mutex> lock(chain_mu_);
-    keyframe = force_keyframe_ ||
-               waves_since_keyframe_ + 1 >= std::max<std::size_t>(
-                                                1, cfg_.keyframe_interval);
+    h = stamp_wave_locked(force_keyframe_ ||
+                          waves_since_keyframe_ + 1 >=
+                              std::max<std::size_t>(1, cfg_.keyframe_interval));
   }
-  std::vector<std::uint8_t> bytes = snapshot_wave(keyframe);
-  std::uint64_t seq;
+  if (cfg_.committer == nullptr) {
+    settle_wave(h, write_wave_file(cfg_.checkpoint_dir, h.seq, fill_wave(h)));
+    return;
+  }
+  GroupCommitter::Request req;
+  req.dir = cfg_.checkpoint_dir;
+  req.name = wave_file_name(h.seq);
+  if (cfg_.workers > 0) {
+    // The committer thread fills the wave: this thread goes back to
+    // serving while the sessions are serialized.
+    req.fill = [this, h] { return fill_wave(h); };
+  } else {
+    // Inline mode keeps every strand task on the caller's thread (a
+    // quiesced session drains its queued epochs on the filling thread).
+    req.bytes = fill_wave(h);
+  }
+  req.done = [this, h](bool ok) {
+    settle_wave(h, ok);
+    std::lock_guard<std::mutex> lock(chain_mu_);
+    if (--waves_queued_ == 0) waves_settled_.notify_all();
+  };
   {
     std::lock_guard<std::mutex> lock(chain_mu_);
-    seq = wave_seq_;
+    ++waves_queued_;
   }
-  const std::string dir = cfg_.checkpoint_dir;
+  if (cfg_.committer->enqueue(std::move(req))) return;
+  // Committer backpressure: a checkpoint is never silently dropped --
+  // publish synchronously (req is untouched on rejection) and record
+  // the stall.
+  {
+    std::lock_guard<std::mutex> lock(chain_mu_);
+    --waves_queued_;
+    ++ckpt_stats_.sync_fallbacks;
+  }
+  if (req.fill) {
+    // Earlier waves serialize their sessions before this one may clear
+    // those sessions' dirty marks.
+    await_waves();
+    req.bytes = req.fill();
+  }
+  settle_wave(h, write_wave_file(req.dir, h.seq, req.bytes));
+}
+
+void LocalizationServer::settle_wave(const WaveHeader& h, bool ok) {
   // On success a keyframe makes every older wave reclaimable; on failure
   // the chain must re-anchor (the next delta would otherwise link onto a
   // wave that may not be durable).
-  auto settle = [this, dir, seq, keyframe](bool ok) {
-    std::size_t pruned = 0;
-    if (ok && keyframe) pruned = prune_wave_files(dir, seq);
-    (void)pruned;
-    if (!ok) {
-      std::lock_guard<std::mutex> lock(chain_mu_);
-      force_keyframe_ = true;
-      ++ckpt_stats_.publish_failures;
-    }
-  };
-  if (cfg_.committer != nullptr) {
-    GroupCommitter::Request req;
-    req.dir = dir;
-    req.name = wave_file_name(seq);
-    req.bytes = std::move(bytes);
-    req.done = settle;
-    if (cfg_.committer->enqueue(std::move(req))) return;
-    // Committer backpressure: a checkpoint is never silently dropped --
-    // fall back to the synchronous path (req is untouched on rejection)
-    // and record the stall.
-    {
-      std::lock_guard<std::mutex> lock(chain_mu_);
-      ++ckpt_stats_.sync_fallbacks;
-    }
-    settle(write_wave_file(dir, seq, req.bytes));
+  if (ok) {
+    if (h.kind == kWaveKeyframe) prune_wave_files(cfg_.checkpoint_dir, h.seq);
     return;
   }
-  settle(write_wave_file(dir, seq, bytes));
+  std::lock_guard<std::mutex> lock(chain_mu_);
+  force_keyframe_ = true;
+  ++ckpt_stats_.publish_failures;
 }
 
-std::vector<std::uint8_t> LocalizationServer::snapshot_wave(bool keyframe) {
+void LocalizationServer::await_waves() {
+  std::unique_lock<std::mutex> lock(chain_mu_);
+  waves_settled_.wait(lock, [this] { return waves_queued_ == 0; });
+}
+
+WaveHeader LocalizationServer::stamp_wave_locked(bool keyframe) {
   WaveHeader h;
   h.kind = keyframe ? kWaveKeyframe : kWaveDelta;
   h.payload_version =
       cfg_.snapshot_quantize ? kSnapshotVersionQuantized : kSnapshotVersion;
+  h.seq = ++wave_seq_;
+  h.parent_seq = keyframe ? 0 : h.seq - 1;
+  if (keyframe) {
+    waves_since_keyframe_ = 0;
+    force_keyframe_ = false;
+  } else {
+    ++waves_since_keyframe_;
+  }
+  return h;
+}
+
+std::vector<std::uint8_t> LocalizationServer::snapshot_wave(bool keyframe) {
+  WaveHeader h;
   {
     std::lock_guard<std::mutex> lock(chain_mu_);
-    h.seq = ++wave_seq_;
-    h.parent_seq = keyframe ? 0 : h.seq - 1;
+    h = stamp_wave_locked(keyframe);
   }
+  return fill_wave(h);
+}
+
+std::vector<std::uint8_t> LocalizationServer::fill_wave(WaveHeader h) {
+  const obs::Stopwatch fill_time;
+  const bool keyframe = h.kind == kWaveKeyframe;
   {
     std::lock_guard<std::mutex> lock(lifecycle_mu_);
     h.accepted_since_scan = static_cast<std::uint64_t>(accepted_since_scan_);
@@ -549,6 +589,7 @@ std::vector<std::uint8_t> LocalizationServer::snapshot_wave(bool keyframe) {
     ++records;
   }
   std::vector<std::uint8_t> bytes = builder.finish();
+  const auto fill_us = static_cast<std::uint64_t>(fill_time.elapsed_us());
   {
     std::lock_guard<std::mutex> lock(chain_mu_);
     ++ckpt_stats_.waves;
@@ -556,12 +597,11 @@ std::vector<std::uint8_t> LocalizationServer::snapshot_wave(bool keyframe) {
       ++ckpt_stats_.keyframes;
       ckpt_stats_.keyframe_records += records;
       ckpt_stats_.keyframe_bytes += bytes.size();
-      waves_since_keyframe_ = 0;
-      force_keyframe_ = false;
+      ckpt_stats_.keyframe_fill_us += fill_us;
     } else {
       ckpt_stats_.delta_records += records;
       ckpt_stats_.delta_bytes += bytes.size();
-      ++waves_since_keyframe_;
+      ckpt_stats_.delta_fill_us += fill_us;
     }
   }
   return bytes;
@@ -786,6 +826,7 @@ void LocalizationServer::handle_migrate(const Frame& frame,
 }
 
 void LocalizationServer::crash() {
+  await_waves();
   sessions_.clear();
   {
     std::lock_guard<std::mutex> lock(lifecycle_mu_);
@@ -814,12 +855,17 @@ std::size_t LocalizationServer::evict_idle() {
 }
 
 void LocalizationServer::shutdown() {
+  bool first;
   {
     std::lock_guard<std::mutex> lock(lifecycle_mu_);
-    if (stopping_) return;
+    first = !stopping_;
     stopping_ = true;
   }
-  pool_.shutdown();
+  // Outside the once-only part: a wave triggered after an earlier
+  // shutdown() still calls back into this server, which the destructor
+  // must outlive. The workers are still up, so fills quiesce as usual.
+  await_waves();
+  if (first) pool_.shutdown();
 }
 
 }  // namespace uniloc::svc

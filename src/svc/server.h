@@ -17,6 +17,14 @@
 //   * workers == 0 is the deterministic inline mode: every submit()
 //     completes synchronously on the caller's thread, and a run with a
 //     fixed seed is bit-reproducible (unit tests, replays).
+//   * Checkpoint waves are split into a trigger and a fill. The trigger
+//     runs on the submitting thread (maybe_checkpoint or an explicit
+//     checkpoint_wave_now()) and only stamps the wave's seq. With
+//     workers > 0 and a committer, the committer thread fills the wave
+//     -- quiesces and serializes each session it carries -- so a wave
+//     never holds submit() for its serialization; otherwise the trigger
+//     fills it on the caller, as snapshot_wave() always does. Triggers
+//     come from one thread at a time.
 //
 // Instrumentation (all via src/obs, guarded by one stats mutex so worker
 // threads can record concurrently):
@@ -27,6 +35,7 @@
 #pragma once
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -55,6 +64,8 @@ class SloMonitor;
 }  // namespace uniloc::obs
 
 namespace uniloc::svc {
+
+struct WaveHeader;
 
 /// Builds the per-session ensemble. Called on the submitting thread when
 /// a kHello arrives; use `session_id` to derive per-session seeds.
@@ -92,11 +103,13 @@ struct ServerConfig {
   std::function<void(std::uint64_t session_id,
                      const core::EpochDecision& decision)>
       on_epoch;
-  /// Periodic checkpointing: when > 0, submit() takes a snapshot whenever
-  /// at least this many microseconds (by `now_us`) have passed since the
-  /// last one and hands it to `on_checkpoint`. Snapshots quiesce each
-  /// session before serializing it and mutate nothing, so enabling
-  /// checkpoints leaves the served epoch stream bit-identical.
+  /// Periodic checkpointing: when > 0, submit() checkpoints whenever at
+  /// least this many microseconds (by `now_us`) have passed since the
+  /// last one: a full snapshot() handed to `on_checkpoint`, or with
+  /// `checkpoint_dir` set a wave triggered through
+  /// checkpoint_wave_now(). Checkpoints quiesce each session before
+  /// serializing it and leave its Uniloc state untouched, so enabling
+  /// them keeps the served epoch stream bit-identical.
   std::uint64_t checkpoint_period_us{0};
   std::function<void(const std::vector<std::uint8_t>& snapshot)>
       on_checkpoint;
@@ -117,10 +130,13 @@ struct ServerConfig {
   /// on it.
   bool snapshot_quantize{false};
   /// Async group commit (svc/committer.h). Non-null offloads wave file
-  /// I/O (write, fsync, rename, dir fsync) to the committer's thread;
-  /// on committer backpressure the wave falls back to a synchronous
-  /// publish rather than being dropped. Null publishes synchronously.
-  /// Not owned; must outlive the server.
+  /// I/O (write, fsync, rename, dir fsync) to the committer's thread,
+  /// and with workers > 0 the wave's fill (its serialization) too. On
+  /// committer backpressure the wave is published synchronously rather
+  /// than dropped; a threaded server first waits for its queued waves,
+  /// then fills on the caller. Null fills and publishes on the caller.
+  /// Not owned; must outlive the server, which waits in shutdown(),
+  /// crash() and its destructor until every wave it queued has settled.
   GroupCommitter* committer{nullptr};
   /// Called (on the evicting thread) with each session id dropped by a
   /// TTL scan, so placement layers can forget the session -- the shard
@@ -172,13 +188,14 @@ class LocalizationServer : public Endpoint {
   /// collapse_chain emits for quantized chains).
   bool restore(const std::vector<std::uint8_t>& snapshot);
 
-  /// Serialize one checkpoint wave (svc/delta.h) and advance the wave
-  /// sequence. A keyframe wave carries every live session; a delta wave
-  /// only those whose strand ran since they were last serialized (their
-  /// dirty mark), plus the full membership list so departures collapse
-  /// away. Sessions are quiesced one at a time exactly like snapshot();
-  /// each serialized session is marked clean inside its exclusive
-  /// section. Payload codec follows cfg.snapshot_quantize.
+  /// Serialize one checkpoint wave (svc/delta.h) on the caller and
+  /// advance the wave sequence. A keyframe wave carries every live
+  /// session; a delta wave only those whose strand ran since they were
+  /// last serialized (their dirty mark), plus the full membership list
+  /// so departures collapse away. Sessions are quiesced one at a time
+  /// exactly like snapshot(); each serialized session is marked clean
+  /// inside its exclusive section. Payload codec follows
+  /// cfg.snapshot_quantize.
   std::vector<std::uint8_t> snapshot_wave(bool keyframe);
 
   /// Outcome of a delta-chain recovery.
@@ -208,14 +225,23 @@ class LocalizationServer : public Endpoint {
     /// Waves published synchronously because the committer queue was
     /// full (explicit backpressure, never a silent drop).
     std::uint64_t sync_fallbacks{0};
+    /// Cumulative wall time spent filling waves (quiescing and
+    /// serializing their sessions, CRC included), in microseconds: on
+    /// the committer thread for a threaded server with a committer,
+    /// else on the thread that triggered the wave.
+    std::uint64_t keyframe_fill_us{0};
+    std::uint64_t delta_fill_us{0};
   };
   CheckpointStats checkpoint_stats() const;
 
-  /// Serialize + publish one wave into cfg.checkpoint_dir right now
-  /// (async via the committer when configured, else synchronously),
-  /// regardless of the checkpoint period. Clean-shutdown flush: the
-  /// periodic path only fires on the next submit, so a server that goes
-  /// quiet would otherwise leave its last epochs off the chain.
+  /// Trigger one wave into cfg.checkpoint_dir right now, regardless of
+  /// the checkpoint period: decide keyframe or delta and stamp its seq,
+  /// then fill and publish it -- on the committer thread when the
+  /// server has workers and a committer (committer->flush() waits for
+  /// it), else fill on the caller and publish through the committer or
+  /// synchronously. Clean-shutdown flush: the periodic path only fires
+  /// on the next submit, so a server that goes quiet would otherwise
+  /// leave its last epochs off the chain.
   void checkpoint_wave_now();
 
   /// Remove one session for migration: pin it against TTL eviction, wait
@@ -236,11 +262,14 @@ class LocalizationServer : public Endpoint {
 
   /// Simulate a process crash: all in-RAM session state is lost (the
   /// object survives so callers holding references keep working, as a
-  /// restarted process would reuse the same address). Pair with
-  /// restore() to model crash recovery from the last checkpoint.
+  /// restarted process would reuse the same address). Waves already
+  /// triggered are filled from the pre-crash population and settled
+  /// first. Pair with restore() to model crash recovery from the last
+  /// checkpoint.
   void crash();
 
-  /// Stop intake, drain in-flight epochs, join workers. Idempotent.
+  /// Stop intake, let every queued wave fill and settle, drain in-flight
+  /// epochs, join workers. Idempotent.
   void shutdown();
 
   std::size_t live_sessions() const { return sessions_.size(); }
@@ -298,6 +327,20 @@ class LocalizationServer : public Endpoint {
                  obs::SpanHandle queue_wait);
   /// Take a periodic snapshot when the checkpoint period elapsed.
   void maybe_checkpoint();
+  /// The trigger's half of a wave, called under chain_mu_: stamp seq and
+  /// parent_seq and advance the keyframe cadence.
+  WaveHeader stamp_wave_locked(bool keyframe);
+  /// The fill: take membership, quiesce + serialize + mark clean each
+  /// session the wave carries, CRC, count it in ckpt_stats_. Fills run
+  /// one at a time in seq order, so a later wave never clears a dirty
+  /// mark before an earlier one has serialized that session.
+  std::vector<std::uint8_t> fill_wave(WaveHeader header);
+  /// Book a publish outcome: prune behind a durable keyframe, re-anchor
+  /// the chain after a failure.
+  void settle_wave(const WaveHeader& header, bool ok);
+  /// Block until every wave this server queued on the committer has
+  /// been filled and settled (the committer calls back into `this`).
+  void await_waves();
 
   ServerConfig cfg_;
   UnilocFactory factory_;
@@ -310,8 +353,8 @@ class LocalizationServer : public Endpoint {
   std::size_t accepted_since_scan_{0};
   std::uint64_t last_checkpoint_us_{0};
   /// Delta-chain state (guarded by chain_mu_; serialization itself runs
-  /// outside the lock -- waves are produced by one thread at a time, the
-  /// submit path's maybe_checkpoint or an explicit snapshot_wave call).
+  /// outside the lock -- waves are triggered by one thread at a time and
+  /// filled one at a time, see fill_wave).
   mutable std::mutex chain_mu_;
   std::uint64_t wave_seq_{0};
   std::size_t waves_since_keyframe_{0};
@@ -320,6 +363,9 @@ class LocalizationServer : public Endpoint {
   /// that may not be durable.
   bool force_keyframe_{true};
   CheckpointStats ckpt_stats_{};
+  /// Waves handed to the committer whose done callback has not run yet.
+  std::size_t waves_queued_{0};
+  std::condition_variable waves_settled_;
 };
 
 }  // namespace uniloc::svc

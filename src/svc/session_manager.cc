@@ -42,14 +42,18 @@ void Session::drain() {
       task = std::move(inbox_[inbox_head_]);
       inbox_head_ = (inbox_head_ + 1) % inbox_.size();
       --inbox_count_;
+      // Every strand task may advance the Uniloc state; the delta
+      // checkpoint wave keys off this mark (see dirty()). It is bumped
+      // before the task runs: the task's reply goes out before this
+      // loop comes back, and a wave that checks dirty() after the reply
+      // must not skip the session -- it waits for the task in
+      // run_exclusive instead.
+      ++dirty_mark_;
     }
     task();
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++epochs_served_;
-      // Every strand task may have advanced the Uniloc state; the delta
-      // checkpoint wave keys off this mark (see dirty()).
-      ++dirty_mark_;
     }
   }
 }

@@ -91,7 +91,8 @@ class Session {
   std::size_t queue_depth() const;
 
   /// Dirty tracking for delta checkpoints. drain() bumps a change mark
-  /// after every task; the checkpoint wave reads dirty() and calls
+  /// as it takes each task, before running it, so a task whose reply is
+  /// out already counts; the checkpoint wave reads dirty() and calls
   /// mark_clean() *inside its run_exclusive section*, so the clean mark
   /// records exactly the state the wave serialized -- any task that runs
   /// afterwards re-dirties the session for the next wave. Fresh sessions

@@ -22,15 +22,19 @@
 // the decoder-fuzz gate.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <numbers>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/runner.h"
@@ -85,6 +89,13 @@ std::vector<std::uint8_t> epoch_frame(std::uint64_t sid) {
   f.type = svc::FrameType::kEpoch;
   f.session_id = sid;
   f.payload = svc::encode_epoch({}, sim::SensorFrame{});
+  return svc::encode_frame(f);
+}
+
+std::vector<std::uint8_t> bye_frame(std::uint64_t sid) {
+  svc::Frame f;
+  f.type = svc::FrameType::kBye;
+  f.session_id = sid;
   return svc::encode_frame(f);
 }
 
@@ -345,10 +356,7 @@ TEST(ChainCollapse, MembershipPrunesDepartedSessions) {
   std::vector<std::vector<std::uint8_t>> waves;
   waves.push_back(server->snapshot_wave(true));
   // Session 2 says bye; the next delta's membership drops it.
-  svc::Frame bye;
-  bye.type = svc::FrameType::kBye;
-  bye.session_id = 2;
-  server->submit(svc::encode_frame(bye)).get();
+  server->submit(bye_frame(2)).get();
   server->submit(epoch_frame(1)).get();
   waves.push_back(server->snapshot_wave(false));
 
@@ -630,6 +638,296 @@ TEST(ServerChain, GroupCommitterPathMatchesSynchronousPath) {
     ASSERT_TRUE(b.restore_chain().ok);
     EXPECT_EQ(b.snapshot(), a.snapshot());
   }
+}
+
+/// Committer write hook that parks the group-commit thread inside
+/// write_bytes while `hold` is set, so a test can pin waves at known
+/// points of the publish path: one held in its write, the next queued
+/// behind it and not yet filled.
+struct WriteGate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool hold{false};
+  bool stalled{false};
+  bool fail{false};  ///< Held writes fail once released.
+
+  svc::FsOps ops() {
+    const svc::FsOps real = svc::FsOps::real();
+    svc::FsOps fs;
+    fs.write_bytes = [this, real](const std::string& path,
+                                  const std::uint8_t* data, std::size_t n) {
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        if (hold) {
+          stalled = true;
+          cv.notify_all();
+          cv.wait(lock, [this] { return !hold; });
+          stalled = false;
+          if (fail) return false;
+        }
+      }
+      return real.write_bytes(path, data, n);
+    };
+    return fs;
+  }
+  void set_hold(bool on) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      hold = on;
+    }
+    cv.notify_all();
+  }
+  bool held() {
+    std::lock_guard<std::mutex> lock(mu);
+    return hold;
+  }
+  void await_stalled() {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [this] { return stalled; });
+  }
+  /// Lets the held write go from another thread once `ready()` holds
+  /// (polled, for at most 10 s) and `delay` has passed.
+  std::thread release_when(std::function<bool()> ready,
+                           std::chrono::milliseconds delay) {
+    return std::thread([this, ready = std::move(ready), delay] {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!ready() && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      std::this_thread::sleep_for(delay);
+      set_hold(false);
+    });
+  }
+};
+
+svc::ServerConfig threaded_chain_config(const std::string& dir,
+                                        svc::GroupCommitter& committer) {
+  svc::ServerConfig cfg;
+  cfg.workers = 2;
+  cfg.checkpoint_dir = dir;
+  cfg.committer = &committer;
+  return cfg;
+}
+
+TEST(ServerChain, ServerDestroyedWithAFailingWavePendingIsSafe) {
+  // The committer calls back into the server that queued a wave: it
+  // fills it, then books the publish outcome. Here the write blocks
+  // until released and then fails, and the server is destroyed while
+  // it blocks -- the destructor must wait for the failure to be booked.
+  TempDir dir("server_teardown");
+  WriteGate gate;
+  gate.hold = true;
+  gate.fail = true;
+  svc::GroupCommitter committer({.ops = gate.ops()});
+  std::unique_ptr<svc::LocalizationServer> server =
+      warm_server(threaded_chain_config(dir.path, committer));
+  server->checkpoint_wave_now();
+  gate.await_stalled();
+  std::thread releaser =
+      gate.release_when([] { return true; }, std::chrono::milliseconds(50));
+  server.reset();
+  const bool released_before_destroyed = !gate.held();
+  releaser.join();
+  EXPECT_TRUE(released_before_destroyed);
+  committer.flush();
+  EXPECT_EQ(committer.stats().failed, 1u);
+}
+
+TEST(ServerChain, WavesQueuedBeforeACrashCarryThePreCrashPopulation) {
+  // A keyframe is held in its write and a delta queued behind it, not
+  // yet filled, when the server crashes. crash() waits for both, so the
+  // delta is filled from the sessions the crash is about to drop, and a
+  // restart restores them all.
+  TempDir dir("server_crash");
+  WriteGate gate;
+  gate.hold = true;
+  svc::GroupCommitter committer({.ops = gate.ops()});
+  std::unique_ptr<svc::LocalizationServer> server =
+      warm_server(threaded_chain_config(dir.path, committer));
+  server->checkpoint_wave_now();
+  gate.await_stalled();
+  server->submit(epoch_frame(1)).get();
+  server->checkpoint_wave_now();
+  const std::vector<std::uint8_t> before = server->snapshot();
+  std::thread releaser =
+      gate.release_when([] { return true; }, std::chrono::milliseconds(50));
+  server->crash();
+  releaser.join();
+  EXPECT_EQ(server->live_sessions(), 0u);
+  committer.flush();
+
+  svc::ServerConfig bcfg;
+  bcfg.checkpoint_dir = dir.path;
+  svc::LocalizationServer b(bcfg, factory_for(campus_deployment()), nullptr);
+  const svc::LocalizationServer::ChainRestoreResult r = b.restore_chain();
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(r.deltas_applied, 1u);
+  EXPECT_EQ(r.waves_rejected, 0u);
+  EXPECT_EQ(b.snapshot(), before);
+}
+
+TEST(ServerChain, WaveTriggerNeverWaitsForABusySession) {
+  // Session 1 is held inside its epoch (the on_epoch hook blocks), so a
+  // wave cannot quiesce it. Session 2's next epoch crosses the
+  // checkpoint period: its submit() only triggers the wave, returns, and
+  // its reply arrives while session 1 is still held. A watchdog releases
+  // session 1 after 5 s, so a trigger that waits fails instead of
+  // hanging.
+  TempDir dir("server_busy");
+  sim::VirtualClock clock;
+  svc::GroupCommitter committer;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool held = false;
+  bool released = false;
+  svc::ServerConfig cfg = threaded_chain_config(dir.path, committer);
+  cfg.now_us = clock.now_fn();
+  cfg.checkpoint_period_us = 1;
+  cfg.on_epoch = [&](std::uint64_t sid, const core::EpochDecision&) {
+    if (sid != 1) return;
+    std::unique_lock<std::mutex> lock(mu);
+    held = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return released; });
+  };
+  svc::LocalizationServer server(cfg, factory_for(campus_deployment()),
+                                 nullptr);
+  server.submit(hello_frame(1, {1.0, 2.0}, 0.3)).get();
+  server.submit(hello_frame(2, {1.0, 2.0}, 0.3)).get();
+  std::future<std::vector<std::uint8_t>> a = server.submit(epoch_frame(1));
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return held; });
+  }
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait_for(lock, std::chrono::seconds(5), [&] { return released; });
+    released = true;
+    cv.notify_all();
+  });
+  clock.advance_us(1);  // session 2's epoch triggers the wave
+  std::future<std::vector<std::uint8_t>> b = server.submit(epoch_frame(2));
+  const bool b_replied =
+      b.wait_for(std::chrono::seconds(4)) == std::future_status::ready;
+  bool a_still_held;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    a_still_held = !released;
+    released = true;
+  }
+  cv.notify_all();
+  watchdog.join();
+  EXPECT_TRUE(b_replied);
+  EXPECT_TRUE(a_still_held);
+  a.get();
+  b.get();
+  committer.flush();
+  const svc::LocalizationServer::CheckpointStats st = server.checkpoint_stats();
+  EXPECT_EQ(st.waves, 1u);
+  EXPECT_EQ(st.keyframe_records, 2u);
+  EXPECT_GT(st.keyframe_fill_us, 0u);
+}
+
+TEST(ServerChain, ThreadedWavesRestoreTheExactServer) {
+  // Waves filled on the committer thread while two workers serve epochs
+  // and sessions come and go must still collapse to the exact server.
+  // The write gate holds the committer mid-write: once so a session
+  // leaves and re-joins under the same id while waves that carry it are
+  // pending, once so the queue (capacity 1) overflows and a wave falls
+  // back to filling on the caller.
+  TempDir dir("server_threaded");
+  sim::VirtualClock clock;
+  WriteGate gate;
+  svc::GroupCommitter committer({.queue_capacity = 1, .ops = gate.ops()});
+  svc::ServerConfig cfg = threaded_chain_config(dir.path, committer);
+  cfg.now_us = clock.now_fn();
+  cfg.checkpoint_period_us = 1;
+  cfg.keyframe_interval = 4;
+  svc::LocalizationServer a(cfg, factory_for(campus_deployment()), nullptr);
+  // Every submit crosses the checkpoint period and triggers a wave,
+  // unless `wave` is false.
+  const auto submit = [&](std::vector<std::uint8_t> frame, bool wave = true) {
+    if (wave) clock.advance_us(1);
+    return a.submit(std::move(frame));
+  };
+  // Hold the next write once the committer is idle, so the next wave is
+  // accepted and is the one held.
+  const auto hold_next_write = [&] {
+    committer.flush();
+    gate.set_hold(true);
+  };
+
+  std::vector<std::uint64_t> live = {1, 2, 3, 4};
+  std::uint64_t next_id = 5;
+  for (const std::uint64_t sid : live) {
+    submit(hello_frame(sid, {1.0, 2.0}, 0.3)).get();
+  }
+  for (int round = 0; round < 12; ++round) {
+    std::vector<std::future<std::vector<std::uint8_t>>> replies;
+    for (const std::uint64_t sid : live) {
+      replies.push_back(submit(epoch_frame(sid)));
+    }
+    for (auto& r : replies) r.get();
+    if (round % 3 == 2) {  // the oldest session leaves, a new one joins
+      submit(bye_frame(live.front())).get();
+      live.erase(live.begin());
+      submit(hello_frame(next_id, {2.0, 1.0}, 0.7)).get();
+      live.push_back(next_id++);
+    }
+    if (round == 6) {
+      // Bye and re-hello of one id while two waves that carry it are
+      // pending: the first was filled before the bye and is held in its
+      // write, the second is queued and fills after the re-hello.
+      hold_next_write();
+      submit(epoch_frame(live[0])).get();
+      gate.await_stalled();
+      submit(epoch_frame(live[1])).get();
+      submit(bye_frame(live[0]), false).get();
+      submit(hello_frame(live[0], {3.0, 1.0}, 1.1), false).get();
+      submit(epoch_frame(live[0]), false).get();
+      gate.set_hold(false);
+    }
+    if (round == 11) {
+      // Last round, so no later epoch hides a stale record. One wave is
+      // held in its write and one queued behind it, so the next trigger
+      // finds the queue full. It must wait for both before it fills on
+      // the caller. Filling first, it would clean the dirty live[2],
+      // whose epoch in that same submit re-dirties it for the older
+      // queued wave to serialize at the later state, and the restore
+      // would take the newer wave's older record. The held write goes
+      // 20 ms after the fallback began, time for that epoch to run.
+      hold_next_write();
+      submit(epoch_frame(live[0])).get();
+      gate.await_stalled();
+      submit(epoch_frame(live[1])).get();
+      submit(epoch_frame(live[2]), false).get();
+      std::thread releaser = gate.release_when(
+          [&a] { return a.checkpoint_stats().sync_fallbacks > 0; },
+          std::chrono::milliseconds(20));
+      submit(epoch_frame(live[2])).get();
+      releaser.join();
+    }
+  }
+  committer.flush();
+  const std::uint64_t keyframes = a.checkpoint_stats().keyframes;
+  a.checkpoint_wave_now();
+  committer.flush();
+  const svc::LocalizationServer::CheckpointStats st = a.checkpoint_stats();
+  // The final wave must be a delta: a keyframe would re-serialize every
+  // session and hide a stale record.
+  EXPECT_EQ(st.keyframes, keyframes);
+  EXPECT_GT(st.sync_fallbacks, 0u);
+  EXPECT_EQ(st.publish_failures, 0u);
+
+  svc::ServerConfig bcfg;
+  bcfg.checkpoint_dir = dir.path;
+  svc::LocalizationServer b(bcfg, factory_for(campus_deployment()), nullptr);
+  const svc::LocalizationServer::ChainRestoreResult r = b.restore_chain();
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(r.waves_rejected, 0u);
+  EXPECT_EQ(b.live_sessions(), live.size());
+  EXPECT_EQ(b.snapshot(), a.snapshot());
 }
 
 // --------------------------------------------------------- group committer
