@@ -24,6 +24,7 @@
 #include "offload/crc32.h"
 #include "schemes/fingerprint_db.h"
 #include "schemes/horus_scheme.h"
+#include "schemes/pdr_scheme.h"
 #include "sim/floorplan.h"
 #include "stats/gaussian.h"
 #include "stats/regression.h"
@@ -117,6 +118,21 @@ void BM_ParticleFilterStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ParticleFilterStep);
+
+// One 300-particle predict on a warm scratch: the serial engine draws,
+// then the vector Box-Muller/turn/wrap pass and the sincos/position pass.
+void BM_PfPredict(benchmark::State& state) {
+  filter::ParticleFilter pf(300, stats::Rng(3));
+  filter::KernelScratch scratch;
+  pf.init({10.0, 5.0}, 0.0, 1.0, 0.1, 0.05);
+  pf.predict(0.7, 0.01, 0.12, 0.035, scratch);  // warm the scratch
+  for (auto _ : state) {
+    pf.predict(0.7, 0.01, 0.12, 0.035, scratch);
+    benchmark::DoNotOptimize(pf.pos_xs());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_PfPredict);
 
 void BM_OlsFit(benchmark::State& state) {
   stats::Rng rng(5);
@@ -326,6 +342,48 @@ void BM_UnilocUpdateCampus(benchmark::State& state) {
   replay(state, uniloc, campus_frames());
 }
 BENCHMARK(BM_UnilocUpdateCampus)->Unit(benchmark::kMicrosecond);
+
+// The Motion filter's map pass over its own campus clouds: a Motion
+// scheme walks the recorded campus path, its particle cloud is captured
+// every 16th epoch (the posterior support is the cloud) and planted into
+// a filter through the snapshot codec. One pass per iteration, cycling
+// through the clouds, so the passes mix corridor-safe, unique-edge and
+// general cells as a walk does.
+void BM_MapConstraint(benchmark::State& state) {
+  const core::Deployment& d = campus_deployment();
+  const ReplayFixture& fx = campus_frames();
+  const schemes::PdrOptions opts;
+  schemes::PdrScheme motion(d.place.get(), opts);
+  motion.reset({fx.start_pos, fx.start_heading});
+  std::vector<filter::ParticleFilter> clouds;
+  schemes::SchemeOutput out;
+  for (std::size_t e = 0; e < fx.frames.size(); ++e) {
+    motion.update_into(fx.frames[e], out);
+    if (e % 16 != 15) continue;
+    const std::vector<schemes::WeightedPoint>& cloud = out.posterior.support;
+    offload::ByteWriter w;
+    w.put_u32(static_cast<std::uint32_t>(cloud.size()));
+    for (const auto& p : cloud) w.put_f64(p.pos.x);
+    for (const auto& p : cloud) w.put_f64(p.pos.y);
+    for (std::size_t i = 0; i < cloud.size(); ++i) w.put_f64(0.0);  // heading
+    for (std::size_t i = 0; i < cloud.size(); ++i) w.put_f64(1.0);  // scale
+    for (const auto& p : cloud) w.put_f64(p.weight);
+    stats::snapshot_engine(stats::Mt19937_64(1), w);
+    filter::ParticleFilter pf(cloud.size(), stats::Rng(1));
+    offload::ByteReader r(w.bytes());
+    if (pf.restore_from(r)) clouds.push_back(std::move(pf));
+  }
+  std::vector<double> like;
+  std::size_t k = 0;
+  for (auto _ : state) {
+    schemes::apply_map_constraint(*d.place, opts.map_slack_m, clouds[k],
+                                  like);
+    benchmark::DoNotOptimize(clouds[k].weight(0));
+    benchmark::ClobberMemory();
+    k = (k + 1) % clouds.size();
+  }
+}
+BENCHMARK(BM_MapConstraint);
 
 void BM_WallCrossingQuery(benchmark::State& state) {
   static sim::Place campus = [] {

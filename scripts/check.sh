@@ -16,7 +16,11 @@ ARENA_TESTS='^perf\.PerfContracts\.(InterleavedSessions|EpochArena|UpdateFastLea
 # of the epoch pipeline against the exact function it replaces.
 KERNEL_ORACLES='^diff\.KernelOracle\.'
 
-cmake -B "$BUILD_DIR" -S . ${CMAKE_ARGS:-}
+# The default and scalar-fallback trees build with warnings as errors
+# (-Wall -Wextra, CMakeLists.txt), so a new warning fails the gate here
+# rather than scrolling past. CMAKE_ARGS comes last and can override it.
+WERROR="-DCMAKE_COMPILE_WARNING_AS_ERROR=ON"
+cmake -B "$BUILD_DIR" -S . "$WERROR" ${CMAKE_ARGS:-}
 cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
@@ -42,7 +46,7 @@ ctest --test-dir "$BUILD_DIR" -L '^simd$' --output-on-failure -j "$JOBS"
 # self-consistent. Set NOSIMD=0 to skip.
 if [[ "${NOSIMD:-1}" != "0" ]]; then
   NOSIMD_DIR="${NOSIMD_DIR:-build-nosimd}"
-  cmake -B "$NOSIMD_DIR" -S . -DUNILOC_NO_SIMD=ON
+  cmake -B "$NOSIMD_DIR" -S . -DUNILOC_NO_SIMD=ON "$WERROR"
   cmake --build "$NOSIMD_DIR" -j "$JOBS"
   ctest --test-dir "$NOSIMD_DIR" --output-on-failure -j "$JOBS"
 fi

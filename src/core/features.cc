@@ -51,7 +51,10 @@ double density_or_large(const schemes::FingerprintDatabase* db,
 
 double corridor_width(const FeatureContext& ctx) {
   if (ctx.place == nullptr) return 10.0;
-  return ctx.place->environment_at(ctx.predicted_location).corridor_width_m;
+  // The indexed lookup: bit-identical to environment_at (the kernel
+  // oracles pin it), without projecting onto every walkway edge.
+  return ctx.place->environment_at_fast(ctx.predicted_location)
+      .corridor_width_m;
 }
 
 }  // namespace

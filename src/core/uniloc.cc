@@ -16,8 +16,9 @@ namespace uniloc::core {
 Uniloc::Uniloc(UnilocConfig cfg) : cfg_(cfg) {}
 
 std::size_t Uniloc::add_scheme(schemes::SchemePtr scheme, ErrorModel model) {
-  entries_.push_back({std::move(scheme), std::move(model)});
-  entries_.back().span_name = "scheme." + entries_.back().scheme->name();
+  std::string span_name = "scheme." + scheme->name();
+  entries_.push_back(
+      {std::move(scheme), std::move(model), nullptr, std::move(span_name)});
   instrument_entry(entries_.back());
   return entries_.size() - 1;
 }

@@ -118,6 +118,7 @@ std::future<svc::LinkReply> FaultyLink::send(
           });
     }
     case FaultKind::kNone:
+    case FaultKind::kProcessCrash:  // scripted between rounds, never per send
       break;
   }
 

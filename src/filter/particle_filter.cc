@@ -63,59 +63,60 @@ void ParticleFilter::predict(double step_len, double dheading,
 #if !defined(UNILOC_NO_SIMD)
   if (stats::simd_enabled()) {
     // Stage two raw engine words per particle (serial: the engine stream
-    // order is the pinned RNG contract), then synthesize both noise draws
-    // with the deterministic Box-Muller transform in one vector pass.
-    // std::normal_distribution is useless here twice over: a fresh
-    // distribution per draw runs the polar rejection loop from scratch
-    // (~2 engine words + log + sqrt per draw, the dominant predict cost),
-    // and its algorithm is implementation-defined, so the stream would
-    // not reproduce across standard libraries. det_normal_pair is a pure
-    // elementwise function of the staged words -- the scalar fallback
-    // below computes the identical expressions in the identical order.
-    scratch.noise_h.resize(n);
-    scratch.noise_s.resize(n);
-    scratch.trig_sin.resize(n);
-    scratch.trig_cos.resize(n);
+    // order is the pinned RNG contract); every loop after that is a
+    // vector loop. std::normal_distribution is useless here twice over: a
+    // fresh distribution per draw runs the polar rejection loop from
+    // scratch (~2 engine words + log + sqrt per draw), and its algorithm
+    // is implementation-defined, so the stream would not reproduce across
+    // standard libraries. det_normal_pair is a pure elementwise function
+    // of the staged words -- the scalar fallback below computes the
+    // identical expressions in the identical order.
     scratch.raw_a.resize(n);
     scratch.raw_b.resize(n);
+    scratch.turned.resize(n);
+    scratch.stride.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       scratch.raw_a[i] = rng_.engine()();
       scratch.raw_b[i] = rng_.engine()();
     }
-    {
-      const std::uint64_t* ra = scratch.raw_a.data();
-      const std::uint64_t* rb = scratch.raw_b.data();
-      double* nh = scratch.noise_h.data();
-      double* ns = scratch.noise_s.data();
-      UNILOC_PRAGMA_SIMD
-      for (std::size_t i = 0; i < n; ++i) {
-        double z0, z1;
-        stats::det_normal_pair(ra[i], rb[i], z0, z1);
-        nh[i] = heading_sd * z0;
-        ns[i] = step_len_sd * z1;
-      }
-    }
-    // wrap_angle is fmod-based (branchy); keep it scalar.
-    for (std::size_t i = 0; i < n; ++i) {
-      heading_[i] =
-          geo::wrap_angle(heading_[i] + dheading + scratch.noise_h[i]);
-    }
+    constexpr double kPi = std::numbers::pi;
+    constexpr double kTwoPi = 2.0 * std::numbers::pi;
+    const std::uint64_t* ra = scratch.raw_a.data();
+    const std::uint64_t* rb = scratch.raw_b.data();
     double* h = heading_.data();
-    double* ts = scratch.trig_sin.data();
-    double* tc = scratch.trig_cos.data();
-    UNILOC_PRAGMA_SIMD
+    double* turned = scratch.turned.data();
+    double* stride = scratch.stride.data();
+    const double* sc = scale_.data();
+    // Both noise draws, the turn and the step length per lane. IEEE
+    // fmod(a, 2pi) returns a itself when |a| < 2pi, so there
+    // geo::wrap_angle is exactly its two selects; lanes outside that
+    // range (or NaN) are flagged and rewrapped by the call below.
+    int unwrapped = 0;
+    UNILOC_PRAGMA_SIMD_REDUCTION(|, unwrapped)
     for (std::size_t i = 0; i < n; ++i) {
-      stats::det_sincos(h[i], ts[i], tc[i]);
+      double z0, z1;
+      stats::det_normal_pair(ra[i], rb[i], z0, z1);
+      const double a = h[i] + dheading + heading_sd * z0;
+      double w = a > kPi ? a - kTwoPi : a;
+      w = w <= -kPi ? w + kTwoPi : w;
+      h[i] = w;
+      turned[i] = a;
+      unwrapped |= !(std::fabs(a) < kTwoPi);
+      stride[i] = std::max(0.0, step_len * sc[i] + step_len_sd * z1);
+    }
+    if (unwrapped != 0) {
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!(std::fabs(turned[i]) < kTwoPi)) h[i] = geo::wrap_angle(turned[i]);
+      }
     }
     double* x = px_.data();
     double* y = py_.data();
-    const double* sc = scale_.data();
-    const double* ns = scratch.noise_s.data();
     UNILOC_PRAGMA_SIMD
     for (std::size_t i = 0; i < n; ++i) {
-      const double len = std::max(0.0, step_len * sc[i] + ns[i]);
-      x[i] += tc[i] * len;
-      y[i] += ts[i] * len;
+      double s, c;
+      stats::det_sincos(h[i], s, c);
+      x[i] += c * stride[i];
+      y[i] += s * stride[i];
     }
     return;
   }
@@ -421,8 +422,7 @@ bool ParticleFilter::restore_from_quantized(offload::ByteReader& r) {
 }
 
 std::size_t KernelScratch::bytes() const {
-  return (gather.capacity() + noise_h.capacity() + noise_s.capacity() +
-          trig_sin.capacity() + trig_cos.capacity()) *
+  return (gather.capacity() + turned.capacity() + stride.capacity()) *
              sizeof(double) +
          (raw_a.capacity() + raw_b.capacity()) * sizeof(std::uint64_t) +
          pick.capacity() * sizeof(std::uint32_t);

@@ -61,12 +61,12 @@ struct Particle {
 struct KernelScratch {
   std::vector<std::uint32_t> pick;  ///< Resampling ancestor indices.
   std::vector<double> gather;       ///< Resampling gather staging.
-  // predict() SIMD staging: noise draws are pulled out of the loop (same
-  // engine order) so the trig + position update vectorizes.
-  std::vector<double> noise_h, noise_s, trig_sin, trig_cos;
   /// Raw engine words staged by predict()'s vector path; the Box-Muller
   /// transform consumes them elementwise (stats::det_normal_pair).
   std::vector<std::uint64_t> raw_a, raw_b;
+  /// predict()'s vector path: each particle's unwrapped heading (the
+  /// input of the rare wrap_angle fallback) and its step length.
+  std::vector<double> turned, stride;
 
   /// Heap capacity held (perf.scratch_bytes accounting).
   std::size_t bytes() const;

@@ -37,7 +37,8 @@ struct SchemeScratch {
   std::vector<Match> matches;     ///< Fingerprint top-k, fusion candidates.
   std::vector<double> top3;       ///< Fingerprint top-3 distances.
   std::vector<double> rssi_w;     ///< Fusion candidate RSSI weights.
-  std::vector<double> like;       ///< Fusion per-particle likelihoods.
+  std::vector<double> like;       ///< Per-particle likelihoods (the map
+                                  ///< constraint and fusion kernels).
 
   std::size_t bytes() const {
     return pf.bytes() + before.capacity() * sizeof(geo::Vec2) +

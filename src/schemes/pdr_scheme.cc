@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "stats/gaussian.h"
+#include "stats/simd.h"
 #include "stats/vecmath.h"
 #include "obs/metrics.h"
 #include "obs/timer.h"
@@ -42,13 +43,54 @@ void PdrScheme::attach_metrics(obs::MetricsRegistry* registry) {
   output_us_ = &registry->histogram(prefix + "output_us");
 }
 
-void PdrScheme::apply_map_constraint() {
-  if (!opts_.use_map || place_ == nullptr) return;
+void apply_map_constraint(const sim::Place& place, double slack_m,
+                          filter::ParticleFilter& pf,
+                          std::vector<double>& like) {
   // Pin the env index once for the whole pass -- per-particle
   // corridor_safe_fast/environment_at_fast calls each pay an atomic
-  // shared_ptr copy, and this lambda runs ~300x2 times per epoch.
-  const sim::Place::EnvView env_view = place_->env_view();
-  pf_.reweight([this, &env_view](const filter::Particle& p) {
+  // shared_ptr copy, and this pass runs ~300x2 times per epoch.
+  const sim::Place::EnvView env_view = place.env_view();
+#if !defined(UNILOC_NO_SIMD)
+  if (stats::simd_enabled()) {
+    // Lane-per-particle kernel, shaped like the fusion RSSI kernel: a
+    // vector pass finds the particles' fine cells, a scalar pass
+    // projects only the particles outside corridor-safe cells (a
+    // unique-edge cell projects onto its one edge), and a vector det_exp
+    // pass turns the overshoots into likelihoods. Each lane evaluates the
+    // scalar lambda's expressions, and reweight_array commits them in its
+    // accumulation order. The cell indices live on the stack, a chunk at
+    // a time, so the pass adds no buffer to the thread's arena.
+    const std::size_t n = pf.size();
+    like.resize(n);
+    constexpr std::size_t kChunk = 64;
+    std::uint32_t cell[kChunk];
+    for (std::size_t base = 0; base < n; base += kChunk) {
+      const std::size_t m = std::min(kChunk, n - base);
+      env_view.fine_cells(pf.pos_xs() + base, pf.pos_ys() + base, m, cell);
+      for (std::size_t j = 0; j < m; ++j) {
+        double beyond = 0.0;
+        if (env_view.code(cell[j]) != sim::Place::EnvView::kSafe) {
+          const sim::LocalEnvironment env =
+              env_view.environment(pf.pos(base + j), cell[j]);
+          beyond = std::max(
+              0.0, env.distance_to_walkway - env.corridor_width_m / 2.0);
+        }
+        like[base + j] = beyond;
+      }
+    }
+    double* l = like.data();
+    UNILOC_PRAGMA_SIMD
+    for (std::size_t i = 0; i < n; ++i) {
+      const double beyond = l[i];
+      const double z = beyond / slack_m;
+      l[i] = beyond <= 0.0 ? 1.0 : stats::det_exp(-0.5 * z * z);
+    }
+    pf.reweight_array(l);
+    return;
+  }
+#endif
+  (void)like;  // the scalar path stages nothing
+  pf.reweight([&env_view, slack_m](const filter::Particle& p) {
     // Corridor-safe cells: the full environment computation below is
     // guaranteed to land in the `beyond <= 0` branch and return exactly
     // 1.0 (see Place::corridor_safe_fast), so skip the walkway
@@ -59,7 +101,7 @@ void PdrScheme::apply_map_constraint() {
     const double beyond =
         std::max(0.0, env.distance_to_walkway - env.corridor_width_m / 2.0);
     if (beyond <= 0.0) return 1.0;
-    const double z = beyond / opts_.map_slack_m;
+    const double z = beyond / slack_m;
     // det_exp keeps the whole particle-weight pipeline off libm, so the
     // traces reproduce bit for bit on any IEEE-754 platform, not just
     // against this machine's libm (DESIGN.md section 16).
@@ -139,7 +181,9 @@ void PdrScheme::step_epoch(const sim::SensorFrame& frame,
   if (!before.empty()) apply_wall_constraint(before);
   {
     obs::ScopedTimer t(map_us_);
-    apply_map_constraint();
+    if (opts_.use_map && place_ != nullptr) {
+      apply_map_constraint(*place_, opts_.map_slack_m, pf_, buf.like);
+    }
   }
   {
     obs::ScopedTimer t(extra_us_);

@@ -35,6 +35,17 @@ struct PdrOptions {
   std::uint64_t seed = 99;
 };
 
+/// The map constraint: multiply each particle's weight by
+/// exp(-z^2 / 2), z = (its distance beyond its corridor's half width) /
+/// slack_m, and leave particles inside their corridor at 1.0. Under
+/// stats::simd_enabled() this runs as a lane-per-particle kernel that
+/// stages the likelihoods in `like` (SchemeScratch::like); otherwise as
+/// a per-particle lambda. Both commit the same weights bit for bit
+/// (diff.KernelOracle.MapConstraintKernelMatchesScalarLambda).
+void apply_map_constraint(const sim::Place& place, double slack_m,
+                          filter::ParticleFilter& pf,
+                          std::vector<double>& like);
+
 class PdrScheme : public LocalizationScheme {
  public:
   /// `place` is the digital map (public information); may be null to run
@@ -73,10 +84,6 @@ class PdrScheme : public LocalizationScheme {
   /// One epoch of filtering (predict, constraints, reweight, resample);
   /// `buf` holds the epoch's working memory.
   void step_epoch(const sim::SensorFrame& frame, SchemeScratch& buf);
-  /// The per-particle environment lookup goes through the Place's
-  /// precomputed candidate index (Place::environment_at_fast,
-  /// bit-identical to environment_at).
-  void apply_map_constraint();
   void apply_wall_constraint(const std::vector<geo::Vec2>& before);
   void apply_landmarks(const sim::SensorFrame& frame);
   void make_output_into(SchemeOutput& out) const;

@@ -7,7 +7,33 @@
 #include <memory>
 #include <stdexcept>
 
+#include "stats/vecmath.h"
+
 namespace uniloc::sim {
+
+namespace {
+
+/// Polyline::project's per-edge computation: the foot of p on edge e of
+/// `pts` at parameter t, `distance` away. Every edge-level path (the
+/// index build and both edge queries) goes through this one expression
+/// sequence, so their distances and arc lengths match project()'s bits.
+struct EdgeFoot {
+  double t;
+  double len2;
+  double distance;
+};
+
+EdgeFoot project_on_edge(geo::Vec2 p, const std::vector<geo::Vec2>& pts,
+                         std::size_t e) {
+  const geo::Vec2 a = pts[e], b = pts[e + 1];
+  const geo::Vec2 ab = b - a;
+  const double len2 = ab.norm2();
+  const double t =
+      len2 > 0.0 ? std::clamp((p - a).dot(ab) / len2, 0.0, 1.0) : 0.0;
+  return {t, len2, geo::distance(p, geo::lerp(a, b, t))};
+}
+
+}  // namespace
 
 const PathSegment& Walkway::segment_at(double arclen) const {
   assert(!segments.empty());
@@ -164,43 +190,50 @@ LocalEnvironment Place::environment_over_edges(geo::Vec2 p,
   // Pruned edges are strictly farther than the winner everywhere in the
   // cell (see EnvIndex::ecand), so every comparison that decides the
   // result sees identical operands and the output is bit-identical.
-  LocalEnvironment env;
   double best = std::numeric_limits<double>::infinity();
+  std::size_t best_way = 0;
+  double best_arc = 0.0;
   std::size_t c = 0;
   while (c < count) {
     const std::size_t i = cand[c] >> 16;
     const Walkway& way = walkways_[i];
-    const std::vector<geo::Vec2>& pts = way.line.points();
     double wbest = std::numeric_limits<double>::infinity();
     double warc = 0.0;
     for (; c < count && (cand[c] >> 16) == i; ++c) {
       const std::size_t e = cand[c] & 0xFFFF;
-      // Exactly Polyline::project's per-edge computation.
-      const geo::Vec2 a = pts[e], b = pts[e + 1];
-      const geo::Vec2 ab = b - a;
-      const double len2 = ab.norm2();
-      const double t =
-          len2 > 0.0 ? std::clamp((p - a).dot(ab) / len2, 0.0, 1.0) : 0.0;
-      const geo::Vec2 q = geo::lerp(a, b, t);
-      const double d = geo::distance(p, q);
-      if (d < wbest) {
-        wbest = d;
-        warc = way.line.arclen_of_vertex(e) + t * std::sqrt(len2);
+      const EdgeFoot f = project_on_edge(p, way.line.points(), e);
+      if (f.distance < wbest) {
+        wbest = f.distance;
+        warc = way.line.arclen_of_vertex(e) + f.t * std::sqrt(f.len2);
       }
     }
     if (wbest < best) {
       best = wbest;
-      const PathSegment& seg = way.segment_at(warc);
-      env.type = seg.type;
-      env.corridor_width_m = seg.corridor_width_m;
-      env.indoor = is_indoor(seg.type);
-      env.sky_visibility = sim::sky_visibility(seg.type);
-      env.walkway = i;
-      env.arclen = warc;
-      env.distance_to_walkway = wbest;
+      best_way = i;
+      best_arc = warc;
     }
   }
-  if (best > 25.0) {
+  if (best == std::numeric_limits<double>::infinity()) {
+    // No candidate at all: environment_at's empty-scan result.
+    LocalEnvironment env;
+    env.corridor_width_m = default_corridor_width(SegmentType::kOpenSpace);
+    return env;
+  }
+  return environment_from(best_way, best_arc, best);
+}
+
+LocalEnvironment Place::environment_from(std::size_t walkway, double arclen,
+                                         double distance) const {
+  LocalEnvironment env;
+  const PathSegment& seg = walkways_[walkway].segment_at(arclen);
+  env.type = seg.type;
+  env.corridor_width_m = seg.corridor_width_m;
+  env.indoor = is_indoor(seg.type);
+  env.sky_visibility = sim::sky_visibility(seg.type);
+  env.walkway = walkway;
+  env.arclen = arclen;
+  env.distance_to_walkway = distance;
+  if (distance > 25.0) {
     env.type = SegmentType::kOpenSpace;
     env.corridor_width_m = default_corridor_width(SegmentType::kOpenSpace);
     env.indoor = false;
@@ -214,15 +247,36 @@ LocalEnvironment Place::environment_at_fast(geo::Vec2 p) const {
 }
 
 LocalEnvironment Place::EnvView::environment(geo::Vec2 p) const {
+  return environment(p, fine_cell(p));
+}
+
+LocalEnvironment Place::EnvView::environment(geo::Vec2 p,
+                                             std::uint32_t cell) const {
   const EnvIndex* idx = idx_.get();
   if (idx == nullptr || !idx->box.contains(p)) {
     return place_->environment_at(p);
   }
+  // Both cell sizes are powers of two (4 m and 0.5 m from the same
+  // origin), so both divisions are exact and the coarse cell computed
+  // here is the one that owned p's fine cell when its code was built.
   const std::size_t cx = std::min(
       idx->nx - 1, static_cast<std::size_t>((p.x - idx->box.min.x) / idx->cell));
   const std::size_t cy = std::min(
       idx->ny - 1, static_cast<std::size_t>((p.y - idx->box.min.y) / idx->cell));
   const std::size_t c = cy * idx->nx + cx;
+  const std::uint8_t k = code(cell);
+  if (k >= kFirstEdge) {
+    // The one edge that can be nearest anywhere in the fine cell (see
+    // prebuild_env_index): environment_over_edges' winner, computed from
+    // that edge alone with the same expressions.
+    const std::uint32_t packed = idx->ecand[idx->ebegin[c] + (k - kFirstEdge)];
+    const std::size_t i = packed >> 16;
+    const std::size_t e = packed & 0xFFFF;
+    const geo::Polyline& line = place_->walkways_[i].line;
+    const EdgeFoot f = project_on_edge(p, line.points(), e);
+    return place_->environment_from(
+        i, line.arclen_of_vertex(e) + f.t * std::sqrt(f.len2), f.distance);
+  }
   if (!idx->ebegin.empty()) {
     return place_->environment_over_edges(p, idx->ecand.data() + idx->ebegin[c],
                                           idx->ebegin[c + 1] - idx->ebegin[c]);
@@ -285,8 +339,13 @@ void Place::prebuild_env_index() const {
       std::max(1.0, std::ceil(idx->box.width() / idx->fine_cell)));
   idx->fny = static_cast<std::size_t>(
       std::max(1.0, std::ceil(idx->box.height() / idx->fine_cell)));
-  idx->fine_safe.assign(idx->fnx * idx->fny, 0);
+  // Fine-cell indices are 32-bit lanes in EnvView::fine_cells; a venue
+  // too large for that (~23 km square) goes without a fine grid and
+  // every query takes the candidate scan.
+  if (idx->fnx * idx->fny > 0x7FFFFFFFu) idx->fnx = idx->fny = 0;
+  idx->fine_code.assign(idx->fnx * idx->fny, EnvView::kGeneral);
   const double rf = 0.5 * idx->fine_cell * std::sqrt(2.0);
+  std::vector<double> edist;  // per-edge fine-center distances
   for (std::size_t cy = 0; cy < idx->ny; ++cy) {
     for (std::size_t cx = 0; cx < idx->nx; ++cx) {
       const geo::Vec2 center{
@@ -321,15 +380,7 @@ void Place::prebuild_env_index() const {
           if (dist[i] > keep) continue;
           const std::vector<geo::Vec2>& pts = walkways_[i].line.points();
           for (std::size_t e = 0; e + 1 < pts.size(); ++e) {
-            const geo::Vec2 a = pts[e], b = pts[e + 1];
-            const geo::Vec2 ab = b - a;
-            const double len2 = ab.norm2();
-            const double t =
-                len2 > 0.0
-                    ? std::clamp((center - a).dot(ab) / len2, 0.0, 1.0)
-                    : 0.0;
-            const double de = geo::distance(center, geo::lerp(a, b, t));
-            if (de <= keep) {
+            if (project_on_edge(center, pts, e).distance <= keep) {
               idx->ecand.push_back(
                   static_cast<std::uint32_t>((i << 16) | e));
             }
@@ -340,11 +391,14 @@ void Place::prebuild_env_index() const {
       // Refine only the corridor band: a fine cell here can be safe only
       // if its winner's distance (>= best - r at any point of the coarse
       // cell) plus the fine half-diagonal fits inside some candidate's
-      // half-width. Cells that fail this necessary condition keep
-      // fine_safe == 0 without projecting anything.
-      if (best - r + rf > max_half + 1e-9) continue;
+      // half-width. Cells that fail this necessary condition stay
+      // kGeneral without projecting anything.
+      if (idx->fine_code.empty() || best - r + rf > max_half + 1e-9) continue;
       const std::size_t cand_count = idx->candidates.size() - cand_begin;
       const std::uint32_t* cand = idx->candidates.data() + cand_begin;
+      const std::size_t ecand_begin = edges_ok ? idx->ebegin.back() : 0;
+      const std::size_t ecand_count = idx->ecand.size() - ecand_begin;
+      edist.resize(std::max(edist.size(), ecand_count));
       const std::size_t fx_end = std::min(idx->fnx, (cx + 1) * kRefine);
       const std::size_t fy_end = std::min(idx->fny, (cy + 1) * kRefine);
       for (std::size_t fy = cy * kRefine; fy < fy_end; ++fy) {
@@ -380,7 +434,40 @@ void Place::prebuild_env_index() const {
               fsafe = false;
             }
           }
-          if (fsafe) idx->fine_safe[fy * idx->fnx + fx] = 1;
+          std::uint8_t& code = idx->fine_code[fy * idx->fnx + fx];
+          if (fsafe) {
+            code = EnvView::kSafe;
+            continue;
+          }
+          // Unique-edge code: the same bound once more, per edge of the
+          // coarse cell's list. For p in the fine cell, the edge u nearest
+          // the center has d_u(p) <= best_e + rf, while any edge e with
+          // d_e(center) > best_e + 2rf + 1e-9 has d_e(p) >= d_e(center) -
+          // rf > d_u(p) + 1e-9. If u is the only edge inside the bound, it
+          // is the strict nearest edge at every p of the cell (edges off
+          // the coarse list are farther still), so both strict-< scans of
+          // environment_over_edges pick it and its result is u's own
+          // projection -- what EnvView::environment computes for the code.
+          if (!edges_ok) continue;
+          double best_e = std::numeric_limits<double>::infinity();
+          for (std::size_t k = 0; k < ecand_count; ++k) {
+            const std::uint32_t packed = idx->ecand[ecand_begin + k];
+            edist[k] = project_on_edge(fc, walkways_[packed >> 16].line.points(),
+                                       packed & 0xFFFF)
+                           .distance;
+            best_e = std::min(best_e, edist[k]);
+          }
+          const double keep_e = best_e + 2.0 * rf + 1e-9;
+          std::size_t kept = 0, unique = 0;
+          for (std::size_t k = 0; k < ecand_count; ++k) {
+            if (edist[k] <= keep_e) {
+              ++kept;
+              unique = k;
+            }
+          }
+          if (kept == 1 && unique <= 0xFFu - EnvView::kFirstEdge) {
+            code = static_cast<std::uint8_t>(EnvView::kFirstEdge + unique);
+          }
         }
       }
     }
@@ -397,15 +484,47 @@ bool Place::corridor_safe_fast(geo::Vec2 p) const {
 }
 
 bool Place::EnvView::corridor_safe(geo::Vec2 p) const {
+  return code(fine_cell(p)) == kSafe;
+}
+
+std::uint32_t Place::EnvView::fine_cell(geo::Vec2 p) const {
+  std::uint32_t cell;
+  fine_cells(&p.x, &p.y, 1, &cell);
+  return cell;
+}
+
+void Place::EnvView::fine_cells(const double* xs, const double* ys,
+                                std::size_t n, std::uint32_t* cells) const {
   const EnvIndex* idx = idx_.get();
-  if (idx == nullptr || !idx->box.contains(p)) return false;
-  const std::size_t fx = std::min(
-      idx->fnx - 1,
-      static_cast<std::size_t>((p.x - idx->box.min.x) / idx->fine_cell));
-  const std::size_t fy = std::min(
-      idx->fny - 1,
-      static_cast<std::size_t>((p.y - idx->box.min.y) / idx->fine_cell));
-  return idx->fine_safe[fy * idx->fnx + fx] != 0;
+  if (idx == nullptr || idx->fine_code.empty()) {
+    std::fill_n(cells, n, kNoCell);
+    return;
+  }
+  // Lane-per-point: box.contains(), then the fine coordinates truncated
+  // and clamped to the last row and column as environment() does for
+  // the coarse ones. The integers are 32-bit because AVX2 converts f64
+  // to i32 but not to i64; the grid has fewer than 2^31 cells.
+  const geo::BBox box = idx->box;
+  const double fine = idx->fine_cell;
+  const auto nx = static_cast<std::int32_t>(idx->fnx);
+  const std::int32_t x_last = nx - 1;
+  const auto y_last = static_cast<std::int32_t>(idx->fny) - 1;
+  UNILOC_PRAGMA_SIMD
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = xs[i];
+    const double y = ys[i];
+    const bool in =
+        x >= box.min.x && x <= box.max.x && y >= box.min.y && y <= box.max.y;
+    const double tx = in ? (x - box.min.x) / fine : 0.0;
+    const double ty = in ? (y - box.min.y) / fine : 0.0;
+    const std::int32_t fx = std::min(x_last, static_cast<std::int32_t>(tx));
+    const std::int32_t fy = std::min(y_last, static_cast<std::int32_t>(ty));
+    cells[i] = in ? static_cast<std::uint32_t>(fy * nx + fx) : kNoCell;
+  }
+}
+
+std::uint8_t Place::EnvView::code(std::uint32_t cell) const {
+  return cell == kNoCell ? kGeneral : idx_->fine_code[cell];
 }
 
 std::vector<const Landmark*> Place::landmarks_near(geo::Vec2 p,

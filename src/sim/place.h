@@ -70,6 +70,28 @@ class Place {
     /// Same contract as Place::environment_at_fast.
     LocalEnvironment environment(geo::Vec2 p) const;
 
+    /// Fine-cell codes of the index (see EnvIndex::fine_code): kGeneral
+    /// cells take the full candidate scan, kSafe cells are corridor-safe,
+    /// and kFirstEdge + k names the one edge that can be nearest anywhere
+    /// in the cell, the k-th of its coarse cell's edge candidates.
+    static constexpr std::uint8_t kGeneral = 0;
+    static constexpr std::uint8_t kSafe = 1;
+    static constexpr std::uint8_t kFirstEdge = 2;
+    /// The fine cell of a point off the index grid (or with no index).
+    static constexpr std::uint32_t kNoCell = 0xFFFFFFFFu;
+
+    /// Index of p's fine cell, or kNoCell.
+    std::uint32_t fine_cell(geo::Vec2 p) const;
+    /// fine_cell() of n points (xs[i], ys[i]) in one vector pass.
+    void fine_cells(const double* xs, const double* ys, std::size_t n,
+                    std::uint32_t* cells) const;
+    /// The code of a fine_cell() result; kGeneral for kNoCell.
+    std::uint8_t code(std::uint32_t cell) const;
+    /// environment(p) for a p whose fine_cell() is already known: the
+    /// same result bit for bit. Unique-edge cells project onto their one
+    /// edge; every other cell takes environment(p)'s candidate scan.
+    LocalEnvironment environment(geo::Vec2 p, std::uint32_t cell) const;
+
    private:
     friend class Place;
     EnvView(const Place* place, std::shared_ptr<const EnvIndex> idx)
@@ -137,8 +159,8 @@ class Place {
   /// its nearest walkway's corridor (distance to the walkway at most half
   /// the walkway's minimum corridor width, with conservative margins for
   /// the cell diagonal and rounding). Where this holds, the map
-  /// constraint's corridor likelihood is exactly 1.0 -- the SIMD fast
-  /// path uses it to skip the walkway projection entirely without
+  /// constraint's corridor likelihood is exactly 1.0 -- the map
+  /// constraint uses it to skip the walkway projection entirely without
   /// changing a single particle weight. Returns false off-grid, on unsafe
   /// cells, or while the index is not built (callers then take the full
   /// environment path).
@@ -175,16 +197,19 @@ class Place {
     std::size_t nx{0}, ny{0};
     std::vector<std::uint32_t> begin;       ///< Cell -> span into candidates.
     std::vector<std::uint32_t> candidates;  ///< Walkway indices per cell.
-    /// Fine-grained corridor-safe bitmap. Coarse (4 m) cells never
-    /// certify safety in realistic venues -- their half-diagonal (2.8 m)
-    /// alone exceeds the 1.75-2.25 m corridor half-widths -- so safety is
-    /// tested on a sub-grid whose half-diagonal (0.35 m at 0.5 m cells)
-    /// leaves room for the bound to hold. Only coarse cells where safety
-    /// is possible at all are refined; everything else stays 0 without a
-    /// single projection.
+    /// Fine-grained cell codes (EnvView::kGeneral / kSafe /
+    /// kFirstEdge + k). Coarse (4 m) cells never certify safety in
+    /// realistic venues -- their half-diagonal (2.8 m) alone exceeds the
+    /// 1.75-2.25 m corridor half-widths -- so safety is tested on a
+    /// sub-grid whose half-diagonal (0.35 m at 0.5 m cells) leaves room
+    /// for the bound to hold. A fine cell that is not safe gets
+    /// kFirstEdge + k when the coarse cell's k-th edge candidate is the
+    /// only one the triangle-inequality bound keeps at the fine radius.
+    /// Only coarse cells where safety is possible at all are refined;
+    /// everything else stays kGeneral without a single projection.
     double fine_cell{0.0};
     std::size_t fnx{0}, fny{0};
-    std::vector<std::uint8_t> fine_safe;
+    std::vector<std::uint8_t> fine_code;
     /// Edge-level candidate lists, packed (walkway << 16) | edge and
     /// stored ascending. The same triangle-inequality proof applies per
     /// edge: an edge whose center distance exceeds the cell minimum by
@@ -202,6 +227,10 @@ class Place {
   LocalEnvironment environment_over_edges(geo::Vec2 p,
                                           const std::uint32_t* cand,
                                           std::size_t count) const;
+  /// environment_at's result when walkway `walkway` wins at `arclen`,
+  /// `distance` away (the open-space fallback included).
+  LocalEnvironment environment_from(std::size_t walkway, double arclen,
+                                    double distance) const;
   mutable std::shared_ptr<const EnvIndex> env_index_;
 };
 

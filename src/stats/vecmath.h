@@ -37,10 +37,17 @@ namespace uniloc::stats {
 
 // `#pragma omp simd` spelled as a macro so kernels compile warning-free
 // in UNILOC_NO_SIMD builds (which omit -fopenmp-simd).
+// UNILOC_PRAGMA_SIMD_REDUCTION(op, var) is `#pragma omp simd
+// reduction(op : var)` under the same guard; keep it to integer
+// reductions, which are exact in any lane order.
 #if defined(UNILOC_NO_SIMD)
 #define UNILOC_PRAGMA_SIMD
+#define UNILOC_PRAGMA_SIMD_REDUCTION(op, var)
 #else
 #define UNILOC_PRAGMA_SIMD _Pragma("omp simd")
+#define UNILOC_PRAGMA_SIMD_REDUCTION(op, var) \
+  _Pragma(UNILOC_PRAGMA_STR(omp simd reduction(op : var)))
+#define UNILOC_PRAGMA_STR(x) #x
 #endif
 
 namespace detail {
@@ -61,6 +68,21 @@ inline double pow2_int(double e) {
 }
 
 }  // namespace detail
+
+/// static_cast<double>(v) for v <= 2^53, in operations AVX2 has: it has
+/// no u64 -> f64 convert, so a plain cast keeps a whole loop scalar. v is
+/// split into its bits from 26 up (at most 2^27) and its low 26 bits;
+/// each half is read exactly off the mantissa of 2^52 + half, and
+/// hi * 2^26 + lo is exact because the sum is v itself, which has at most
+/// 53 significant bits. Equal to the cast for every such v.
+inline double u53_to_double(std::uint64_t v) {
+  constexpr std::uint64_t kTwo52Bits = 0x4330000000000000ULL;  // 2^52
+  constexpr double kTwo52 = 4503599627370496.0;
+  const double hi = std::bit_cast<double>(kTwo52Bits | (v >> 26)) - kTwo52;
+  const double lo =
+      std::bit_cast<double>(kTwo52Bits | (v & 0x3FFFFFFULL)) - kTwo52;
+  return hi * 67108864.0 + lo;
+}
 
 /// Deterministic exp(x). Branchless Cody-Waite reduction (x = k ln2 + r,
 /// |r| <= ln2/2) + degree-13 Taylor Horner evaluation, 2^k by exponent
@@ -166,7 +188,10 @@ inline double det_log(double x) {
   constexpr double kSqrt2 = 1.41421356237309514547e+00;
 
   const std::int64_t bits = std::bit_cast<std::int64_t>(x);
-  double e = static_cast<double>(((bits >> 52) & 0x7FF) - 1023);
+  // The exponent fits 32 bits; an i32 -> f64 convert vectorizes on AVX2,
+  // an i64 -> f64 one does not (same value either way).
+  double e = static_cast<double>(
+      static_cast<std::int32_t>(((bits >> 52) & 0x7FF) - 1023));
   double m = std::bit_cast<double>(
       (bits & 0x000FFFFFFFFFFFFFLL) | 0x3FF0000000000000LL);
   // Shift the mantissa window from [1, 2) to [sqrt(2)/2, sqrt(2)) so s
@@ -198,13 +223,16 @@ inline double det_log(double x) {
 /// det_sincos / IEEE sqrt, so the normal stream consumed by the particle
 /// filter is bit-identical in scalar and vectorized builds -- and on any
 /// IEEE-754 platform, unlike std::normal_distribution, whose algorithm
-/// is implementation-defined.
-inline void det_normal_pair(std::uint64_t a, std::uint64_t b, double& z0,
-                            double& z1) {
+/// is implementation-defined. The word-to-double casts go through
+/// u53_to_double and the function is forced inline, so the predict loop
+/// that calls it vectorizes (GCC 12 otherwise keeps it an outlined call).
+[[gnu::always_inline]] inline void det_normal_pair(std::uint64_t a,
+                                                   std::uint64_t b,
+                                                   double& z0, double& z1) {
   constexpr double kTwoPow53Inv = 1.0 / 9007199254740992.0;
   constexpr double kTwoPi = 6.28318530717958647693e+00;
-  const double u1 = static_cast<double>((a >> 11) + 1) * kTwoPow53Inv;
-  const double u2 = static_cast<double>(b >> 11) * kTwoPow53Inv;
+  const double u1 = u53_to_double((a >> 11) + 1) * kTwoPow53Inv;
+  const double u2 = u53_to_double(b >> 11) * kTwoPow53Inv;
   const double r = std::sqrt(-2.0 * det_log(u1));
   double s, c;
   det_sincos(kTwoPi * u2, s, c);

@@ -2,7 +2,8 @@
 // EXPECT_NEAR):
 //
 //   * kernel oracles: environment_at_fast against environment_at on
-//     every builder venue and generated ones; k_nearest_memo and
+//     every builder venue and generated ones; the map constraint's
+//     vector kernel against its scalar lambda; k_nearest_memo and
 //     k_nearest_into against k_nearest on recorded campus scans; each
 //     standard scheme's update_into with the epoch context against none;
 //   * worker count: the service under seeded chaos at workers 0 and 4;
@@ -18,6 +19,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <tuple>
@@ -29,11 +31,16 @@
 #include "fault/crash.h"
 #include "fault/link.h"
 #include "fault/plan.h"
+#include "offload/bytes.h"
 #include "schemes/epoch_context.h"
+#include "schemes/pdr_scheme.h"
 #include "shard/router.h"
 #include "sim/builders.h"
 #include "sim/walker.h"
 #include "stats/rng.h"
+#include "stats/rng_codec.h"
+#include "stats/simd.h"
+#include "stats/vecmath.h"
 #include "svc/loadgen.h"
 #include "svc/server.h"
 #include "testing_util.h"
@@ -70,11 +77,12 @@ auto env_fields(const sim::LocalEnvironment& e) {
                     bits(e.distance_to_walkway));
 }
 
-TEST(KernelOracle, EnvIndexMatchesEnvironmentAtOnEveryVenue) {
+/// The env-index oracles' venues: the five builder venues, then 24
+/// generated ones whose shapes are drawn from `rng`.
+std::vector<sim::Place> oracle_venues(stats::Rng& rng) {
   std::vector<sim::Place> venues = {sim::campus(42), sim::office_place(42),
                                     sim::open_space_place(42),
                                     sim::mall_place(42), sim::campus_b(1234)};
-  stats::Rng rng(0xE5F);
   for (int i = 0; i < 24; ++i) {
     sim::RandomPlaceSpec spec;
     spec.seed = 1000 + static_cast<std::uint64_t>(i);
@@ -84,6 +92,12 @@ TEST(KernelOracle, EnvIndexMatchesEnvironmentAtOnEveryVenue) {
     spec.venue_mix = i % 4;
     venues.push_back(sim::random_place(spec));
   }
+  return venues;
+}
+
+TEST(KernelOracle, EnvIndexMatchesEnvironmentAtOnEveryVenue) {
+  stats::Rng rng(0xE5F);
+  std::vector<sim::Place> venues = oracle_venues(rng);
   std::size_t probes = 0, safe_hits = 0;
   for (std::size_t v = 0; v < venues.size(); ++v) {
     const sim::Place& place = venues[v];
@@ -118,6 +132,125 @@ TEST(KernelOracle, EnvIndexMatchesEnvironmentAtOnEveryVenue) {
   }
   EXPECT_GT(probes, 5'000'000u);
   EXPECT_GT(safe_hits, 0u) << "no probe ever took the corridor-safe branch";
+}
+
+/// A filter holding exactly `pts`, with uneven weights, planted through
+/// the snapshot codec.
+filter::ParticleFilter planted_filter(const std::vector<geo::Vec2>& pts) {
+  const std::size_t n = pts.size();
+  offload::ByteWriter w;
+  w.put_u32(static_cast<std::uint32_t>(n));
+  for (const geo::Vec2& p : pts) w.put_f64(p.x);
+  for (const geo::Vec2& p : pts) w.put_f64(p.y);
+  for (std::size_t i = 0; i < n; ++i) w.put_f64(0.0);  // headings
+  for (std::size_t i = 0; i < n; ++i) w.put_f64(1.0);  // step scales
+  for (std::size_t i = 0; i < n; ++i) {
+    w.put_f64(1.0 + static_cast<double>(i % 7) / 7.0);
+  }
+  stats::snapshot_engine(stats::Mt19937_64(1), w);
+  filter::ParticleFilter f(n, /*seed=*/1);
+  offload::ByteReader r(w.bytes());
+  EXPECT_TRUE(f.restore_from(r));
+  return f;
+}
+
+TEST(KernelOracle, MapConstraintKernelMatchesScalarLambda) {
+  using View = sim::Place::EnvView;
+  constexpr double kSlack = 2.5;
+  constexpr double kFine = 0.5;  // the index's fine cell
+  stats::Rng rng(0x3A9);
+  std::vector<sim::Place> venues = oracle_venues(rng);
+  std::size_t coded_cells = 0, coded_probes = 0;
+  std::size_t by_code[3] = {0, 0, 0};  // general, safe, unique-edge particles
+  for (std::size_t v = 0; v < venues.size(); ++v) {
+    const sim::Place& place = venues[v];
+    place.prebuild_env_index();
+    const View view = place.env_view();
+    const geo::BBox box = place.bounds();  // the index box
+    const auto nfx = static_cast<std::size_t>(std::ceil(box.width() / kFine));
+    const auto nfy = static_cast<std::size_t>(std::ceil(box.height() / kFine));
+
+    // The coded edge at random points of every unique-edge cell, and at
+    // the cell's corners, against the full scan.
+    std::vector<geo::Vec2> boundary;  // corners of coded cells
+    for (std::size_t fy = 0; fy < nfy; ++fy) {
+      for (std::size_t fx = 0; fx < nfx; ++fx) {
+        const double x0 = box.min.x + static_cast<double>(fx) * kFine;
+        const double y0 = box.min.y + static_cast<double>(fy) * kFine;
+        const std::uint32_t cell =
+            view.fine_cell({x0 + 0.5 * kFine, y0 + 0.5 * kFine});
+        if (view.code(cell) < View::kFirstEdge) continue;
+        ++coded_cells;
+        if (boundary.size() < 4000) {
+          boundary.push_back({x0, y0});
+          boundary.push_back({x0 + kFine, y0 + kFine});
+        }
+        for (int k = 0; k < 6; ++k) {
+          const geo::Vec2 p =
+              k < 2 ? geo::Vec2{k == 0 ? x0 : x0 + kFine, y0 + kFine}
+                    : geo::Vec2{x0 + rng.uniform(0.0, kFine),
+                                y0 + rng.uniform(0.0, kFine)};
+          ++coded_probes;
+          const sim::LocalEnvironment ref = place.environment_at(p);
+          const sim::LocalEnvironment got =
+              view.environment(p, view.fine_cell(p));
+          // Distance and corridor width included, as bit patterns.
+          EXPECT_EQ(env_fields(ref), env_fields(got))
+              << "venue " << v << " at (" << p.x << ", " << p.y << ")";
+        }
+      }
+    }
+
+    // A cloud over the index box and a 30 m rim (off-box particles),
+    // plus coded-cell corners, points on fine-cell lines and on the box
+    // edges, and non-finite positions.
+    std::vector<geo::Vec2> cloud = boundary;
+    const geo::BBox wide = box.inflated(30.0);
+    for (int k = 0; k < 3000; ++k) {
+      cloud.push_back({rng.uniform(wide.min.x, wide.max.x),
+                       rng.uniform(wide.min.y, wide.max.y)});
+      const double gx = box.min.x +
+                        std::floor(rng.uniform(0.0, box.width() / kFine)) * kFine;
+      cloud.push_back({gx, rng.uniform(box.min.y, box.max.y)});
+    }
+    cloud.push_back(box.min);
+    cloud.push_back(box.max);
+    cloud.push_back({box.max.x, box.min.y});
+    cloud.push_back({std::numeric_limits<double>::infinity(), box.min.y});
+    cloud.push_back({std::numeric_limits<double>::quiet_NaN(), 0.0});
+    for (const geo::Vec2& p : cloud) {
+      const std::uint8_t code = view.code(view.fine_cell(p));
+      ++by_code[std::min<std::uint8_t>(code, View::kFirstEdge)];
+    }
+
+    // The reference: the scalar lambda over the full scan.
+    filter::ParticleFilter ref = planted_filter(cloud);
+    ref.reweight([&place](const filter::Particle& p) {
+      const sim::LocalEnvironment env = place.environment_at(p.pos);
+      const double beyond =
+          std::max(0.0, env.distance_to_walkway - env.corridor_width_m / 2.0);
+      if (beyond <= 0.0) return 1.0;
+      const double z = beyond / kSlack;
+      return stats::det_exp(-0.5 * z * z);
+    });
+    std::vector<double> like;
+    for (const bool simd : {true, false}) {
+      const stats::ScopedSimd mode(simd);
+      filter::ParticleFilter f = planted_filter(cloud);
+      schemes::apply_map_constraint(place, kSlack, f, like);
+      for (std::size_t i = 0; i < cloud.size(); ++i) {
+        ASSERT_EQ(bits(f.weight(i)), bits(ref.weight(i)))
+            << "venue " << v << " simd " << simd << " particle " << i
+            << " at (" << cloud[i].x << ", " << cloud[i].y << ")";
+      }
+    }
+    if (HasFailure()) return;  // one venue's report is enough
+  }
+  EXPECT_GT(coded_cells, 1000u) << "the unique-edge code never fired";
+  EXPECT_GT(coded_probes, 6000u);
+  EXPECT_GT(by_code[View::kGeneral], 0u);
+  EXPECT_GT(by_code[View::kSafe], 0u);
+  EXPECT_GT(by_code[View::kFirstEdge], 0u);
 }
 
 /// One recorded walk: where it starts and every frame it produced.

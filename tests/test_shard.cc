@@ -712,7 +712,7 @@ TEST(Eviction, TtlSweepKeepsRouterOverridesBounded) {
 
   // Churn proof: repeat arrivals + sweeps and the map stays bounded by
   // the live population instead of growing with the historical one.
-  for (int round = 0; round < 3; ++round) {
+  for (std::uint64_t round = 0; round < 3; ++round) {
     for (std::uint64_t sid = 100 + 50 * round; sid < 110 + 50 * round;
          ++sid) {
       get_reply(router, hello_frame(sid, {2, 2}, 0.0));

@@ -12,6 +12,7 @@
 // accuracy suite against libm: they are NOT required to match libm bit
 // for bit (that is the whole point -- libm is not reproducible across
 // builds), only to be accurate to a few ulp and to honor IEEE limits.
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -191,6 +192,46 @@ TEST(PredictKernel, VectorEqualsScalarAtEveryTailSize) {
       EXPECT_EQ(vec.pos(i).x, ref.pos(i).x) << "n=" << n << " i=" << i;
       EXPECT_EQ(vec.pos(i).y, ref.pos(i).y) << "n=" << n << " i=" << i;
       EXPECT_EQ(vec.heading(i), ref.heading(i)) << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+// Turns that leave (-2pi, 2pi): the vector path wraps in-range lanes
+// with two selects and hands the rest -- huge, infinite and NaN headings
+// -- to geo::wrap_angle. Those fallback lanes must land on the scalar
+// path's bits too, at every tail size and on either side of a vector.
+TEST(PredictKernel, WrapFallbackLanesEqualScalar) {
+  const double turns[] = {7.0, -7.0, 1e6, -1e6, kInf, -kInf};
+  for (const std::size_t n : kTailSizes) {
+    for (const double turn : turns) {
+      filter::ParticleFilter vec(n, /*seed=*/91);
+      filter::ParticleFilter ref(n, /*seed=*/91);
+      filter::KernelScratch scratch;
+      // Alternate the wild turn with small ones so finite headings also
+      // come back into range and some lanes take each branch.
+      const auto walk = [&](filter::ParticleFilter& f) {
+        f.init({0.0, 0.0}, 3.0, 0.5, 0.5, 0.05);
+        for (int step = 0; step < 6; ++step) {
+          f.predict(0.7, step % 2 == 0 ? turn : 0.3, 0.07, 0.4, scratch);
+        }
+      };
+      {
+        const stats::ScopedSimd on(true);
+        walk(vec);
+      }
+      {
+        const stats::ScopedSimd off(false);
+        walk(ref);
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+        EXPECT_EQ(bits(vec.heading(i)), bits(ref.heading(i)))
+            << "n=" << n << " turn=" << turn << " i=" << i;
+        EXPECT_EQ(bits(vec.pos(i).x), bits(ref.pos(i).x))
+            << "n=" << n << " turn=" << turn << " i=" << i;
+        EXPECT_EQ(bits(vec.pos(i).y), bits(ref.pos(i).y))
+            << "n=" << n << " turn=" << turn << " i=" << i;
+      }
     }
   }
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
@@ -12,6 +13,7 @@
 #include "stats/gaussian.h"
 #include "stats/rng.h"
 #include "stats/special.h"
+#include "stats/vecmath.h"
 
 namespace uniloc::stats {
 namespace {
@@ -213,6 +215,33 @@ std::vector<std::uint64_t> identity_seeds() {
                                       ~std::uint64_t{0}};
   for (std::uint64_t i = 0; i < 20; ++i) seeds.push_back(splitmix64(i));
   return seeds;
+}
+
+TEST(U53ToDouble, EqualsTheCastOnEdgeAndRandomWords) {
+  // The Box-Muller words: (a >> 11) + 1 in [1, 2^53] and b >> 11 in
+  // [0, 2^53). Compared as bit patterns -- the contract is identity.
+  const auto same_as_cast = [](std::uint64_t v) {
+    return std::bit_cast<std::uint64_t>(u53_to_double(v)) ==
+           std::bit_cast<std::uint64_t>(static_cast<double>(v));
+  };
+  constexpr std::uint64_t k1 = 1;
+  const std::uint64_t edges[] = {0,
+                                 1,
+                                 (k1 << 26) - 1,
+                                 k1 << 26,
+                                 (k1 << 26) + 1,
+                                 (k1 << 52) - 1,
+                                 k1 << 52,
+                                 (k1 << 53) - 1,
+                                 (~std::uint64_t{0} >> 11) + 1};
+  for (const std::uint64_t v : edges) EXPECT_TRUE(same_as_cast(v)) << v;
+  EXPECT_EQ(u53_to_double(k1 << 53), 9007199254740992.0);
+  Mt19937_64 engine(2024);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const std::uint64_t w = engine();
+    ASSERT_TRUE(same_as_cast(w >> 11)) << w;
+    ASSERT_TRUE(same_as_cast((w >> 11) + 1)) << w;
+  }
 }
 
 TEST(Mt19937_64, MatchesStdEngineAcrossSeedsAndTwists) {
