@@ -6,7 +6,7 @@
 //                     [--trace <out.jsonl>] [--metrics]
 //
 //   uniloc_cli serve-sim [--venue <name>] [--walkers N] [--workers W]
-//                        [--shards K] [--epochs E] [--seed S]
+//                        [--epochs E] [--seed S]
 //                        [--faults <plan>] [--metrics] [--statusz]
 //                        [--trace-spans <file>] [--flight <file>]
 //
@@ -16,12 +16,7 @@
 // `serve-sim` stands up the src/svc multi-session LocalizationServer
 // in-process and drives it with N simulated phones over the venue's
 // walkways (the svc wire protocol end to end), printing throughput,
-// latency percentiles, per-walker accuracy, and wire traffic. With
-// --shards K (K > 1) the endpoint is instead a shard::ShardRouter over K
-// in-process shards: consistent-hash session placement, per-round fleet
-// checkpoints, and live rebalancing (DESIGN.md section 14); --statusz
-// then dumps every shard via the kStatus admin frame (session id =
-// shard index).
+// latency percentiles, per-walker accuracy, and wire traffic.
 // With --faults every phone's link goes through a fault::FaultyLink; the
 // plan is comma-separated key=value pairs, e.g.
 //   --faults drop=0.02,corrupt=0.01,dup=0.01,delay_ms=50,blackout=10:20
@@ -51,7 +46,6 @@
 #include "obs/slo.h"
 #include "obs/span.h"
 #include "obs/trace.h"
-#include "shard/router.h"
 #include "sim/trace_io.h"
 #include "stats/descriptive.h"
 #include "svc/checkpoint.h"
@@ -233,10 +227,6 @@ struct ServeSimOptions {
   std::string venue{"campus"};
   std::size_t walkers{8};
   int workers{2};
-  /// 1 = one LocalizationServer (the classic path). >1 = a ShardRouter
-  /// over this many in-process shards, each with its own `workers`-thread
-  /// pool, rebalanced once per round.
-  std::size_t shards{1};
   std::size_t epochs{50};  ///< Per walker; 0 = full paths.
   std::uint64_t seed{2024};
   std::string faults;  ///< Empty: perfect wire.
@@ -315,9 +305,6 @@ int cmd_serve_sim(const ServeSimOptions& sopts) {
   obs::MetricsRegistry registry;
   svc::ServerConfig cfg;
   cfg.workers = sopts.workers;
-  // A compressed stand-in for the per-fix WLAN transmission time the
-  // paper measures (Table V); workers overlap these waits.
-  cfg.simulated_network = std::chrono::microseconds(5000);
 
   // Observability sidecars: span tracing to JSONL (feed the file to
   // scripts/trace2chrome.py), a per-session flight recorder dumped when
@@ -336,11 +323,10 @@ int cmd_serve_sim(const ServeSimOptions& sopts) {
   }
   obs::SloMonitor slo({}, &registry);
   cfg.slo = &slo;
-  const bool sharded = sopts.shards > 1;
   // The committer outlives the server (declared first): the server's
   // final wave may still sit in its queue when the server destructs.
   std::unique_ptr<svc::GroupCommitter> committer;
-  if (!sopts.checkpoint_dir.empty() && !sharded) {
+  if (!sopts.checkpoint_dir.empty()) {
     committer = std::make_unique<svc::GroupCommitter>();
     cfg.checkpoint_period_us = 1'000'000;  // wall-clock second
     cfg.checkpoint_dir = sopts.checkpoint_dir;
@@ -351,48 +337,23 @@ int cmd_serve_sim(const ServeSimOptions& sopts) {
     return std::make_unique<core::Uniloc>(
         core::make_uniloc(d, models, {}, false, 7 + sid));
   };
-  std::unique_ptr<svc::LocalizationServer> server;
-  std::unique_ptr<shard::ShardRouter> router;
-  svc::Endpoint* endpoint = nullptr;
-  if (sharded) {
-    if (!sopts.checkpoint_dir.empty()) {
-      std::printf("note: --checkpoint-dir is per-server; the fleet keeps "
-                  "in-RAM shard checkpoints (checkpoint_all) instead\n");
-    }
-    shard::RouterConfig rc;
-    rc.shards = sopts.shards;
-    rc.server = cfg;
-    router = std::make_unique<shard::ShardRouter>(std::move(rc), factory,
-                                                  &registry);
-    endpoint = router.get();
-  } else {
-    server = std::make_unique<svc::LocalizationServer>(cfg, factory,
-                                                       &registry);
-    endpoint = server.get();
-    if (!sopts.checkpoint_dir.empty()) {
-      // Crash recovery: resume whatever chain a previous run left here.
-      const svc::LocalizationServer::ChainRestoreResult r =
-          server->restore_chain();
-      if (r.ok) {
-        std::printf("restored %zu sessions from the wave chain in %s "
-                    "(seq %llu, %zu deltas, %zu waves rejected)\n",
-                    server->live_sessions(), sopts.checkpoint_dir.c_str(),
-                    static_cast<unsigned long long>(r.seq),
-                    r.deltas_applied, r.waves_rejected);
-      }
+  svc::LocalizationServer server(cfg, factory, &registry);
+  if (!sopts.checkpoint_dir.empty()) {
+    // Crash recovery: resume whatever chain a previous run left here.
+    const svc::LocalizationServer::ChainRestoreResult r =
+        server.restore_chain();
+    if (r.ok) {
+      std::printf("restored %zu sessions from the wave chain in %s "
+                  "(seq %llu, %zu deltas, %zu waves rejected)\n",
+                  server.live_sessions(), sopts.checkpoint_dir.c_str(),
+                  static_cast<unsigned long long>(r.seq), r.deltas_applied,
+                  r.waves_rejected);
     }
   }
 
-  if (sharded) {
-    std::printf("serving %zu walkers on '%s' across %zu shards x %d "
-                "workers%s...\n",
-                sopts.walkers, sopts.venue.c_str(), sopts.shards,
-                sopts.workers, sopts.faults.empty() ? "" : " (faulty wire)");
-  } else {
-    std::printf("serving %zu walkers on '%s' with %d workers%s...\n",
-                sopts.walkers, sopts.venue.c_str(), sopts.workers,
-                sopts.faults.empty() ? "" : " (faulty wire)");
-  }
+  std::printf("serving %zu walkers on '%s' with %d workers%s...\n",
+              sopts.walkers, sopts.venue.c_str(), sopts.workers,
+              sopts.faults.empty() ? "" : " (faulty wire)");
   svc::LoadGenConfig lg;
   lg.walkers = sopts.walkers;
   lg.max_epochs_per_walker = sopts.epochs;
@@ -402,29 +363,21 @@ int cmd_serve_sim(const ServeSimOptions& sopts) {
   std::optional<fault::FaultPlan> plan;
   if (!sopts.faults.empty()) {
     plan = parse_fault_plan(sopts.faults, sopts.seed);
-    lg.make_link = [&plan, &registry, &tracer](svc::Endpoint& s,
+    lg.make_link = [&plan, &registry, &tracer](svc::LocalizationServer& s,
                                                std::uint64_t sid) {
       return std::make_unique<fault::FaultyLink>(
           std::make_unique<svc::DirectLink>(&s), &*plan, sid, &registry,
           tracer.get());
     };
   }
-  if (sharded) {
-    // Fleet housekeeping between rounds: keep every shard's recovery
-    // checkpoint fresh and let the rebalancer chase hot shards.
-    lg.on_round = [&router](std::size_t) {
-      router->checkpoint_all();
-      router->rebalance();
-    };
-  }
-  const svc::LoadReport report = svc::run_load(*endpoint, d, lg, &registry);
-  if (!sopts.checkpoint_dir.empty() && !sharded) {
+  const svc::LoadReport report = svc::run_load(server, d, lg, &registry);
+  if (!sopts.checkpoint_dir.empty()) {
     // One final wave so the chain reflects the drained end state, then
     // drain the committer before reporting.
-    server->checkpoint_wave_now();
+    server.checkpoint_wave_now();
     committer->flush();
     const svc::LocalizationServer::CheckpointStats cs =
-        server->checkpoint_stats();
+        server.checkpoint_stats();
     std::printf("wrote %llu waves (%llu keyframes, %llu delta records, "
                 "%llu publish failures) to %s\n",
                 static_cast<unsigned long long>(cs.waves),
@@ -435,44 +388,28 @@ int cmd_serve_sim(const ServeSimOptions& sopts) {
   }
   if (sopts.statusz) {
     // Live introspection through the wire protocol itself: the same
-    // kStatus frame an operator's admin socket would submit. On a fleet
-    // the frame's session id names the shard, so each shard dumps its
-    // own health.
-    const std::size_t targets = sharded ? sopts.shards : 1;
-    for (std::size_t k = 0; k < targets; ++k) {
-      for (const svc::StatusFormat fmt :
-           {svc::StatusFormat::kJson, svc::StatusFormat::kPrometheus}) {
-        svc::Frame req;
-        req.type = svc::FrameType::kStatus;
-        req.session_id = k;
-        req.payload = svc::encode_status_request(fmt);
-        const std::vector<std::uint8_t> bytes =
-            endpoint->submit(svc::encode_frame(req)).get();
-        const svc::DecodeResult decoded = svc::decode_frame(bytes);
-        if (decoded.frame.has_value() &&
-            decoded.frame->type == svc::FrameType::kReply) {
-          if (sharded) {
-            std::printf("\n--- statusz shard %zu (%s) ---\n%.*s\n", k,
-                        fmt == svc::StatusFormat::kJson ? "json"
-                                                        : "prometheus",
-                        static_cast<int>(decoded.frame->payload.size()),
-                        reinterpret_cast<const char*>(
-                            decoded.frame->payload.data()));
-          } else {
-            std::printf(
-                "\n--- statusz (%s) ---\n%.*s\n",
-                fmt == svc::StatusFormat::kJson ? "json" : "prometheus",
-                static_cast<int>(decoded.frame->payload.size()),
-                reinterpret_cast<const char*>(decoded.frame->payload.data()));
-          }
-        } else {
-          std::fprintf(stderr, "statusz query failed\n");
-        }
+    // kStatus frame an operator's admin socket would submit.
+    for (const svc::StatusFormat fmt :
+         {svc::StatusFormat::kJson, svc::StatusFormat::kPrometheus}) {
+      svc::Frame req;
+      req.type = svc::FrameType::kStatus;
+      req.payload = svc::encode_status_request(fmt);
+      const std::vector<std::uint8_t> bytes =
+          server.submit(svc::encode_frame(req)).get();
+      const svc::DecodeResult decoded = svc::decode_frame(bytes);
+      if (decoded.frame.has_value() &&
+          decoded.frame->type == svc::FrameType::kReply) {
+        std::printf(
+            "\n--- statusz (%s) ---\n%.*s\n",
+            fmt == svc::StatusFormat::kJson ? "json" : "prometheus",
+            static_cast<int>(decoded.frame->payload.size()),
+            reinterpret_cast<const char*>(decoded.frame->payload.data()));
+      } else {
+        std::fprintf(stderr, "statusz query failed\n");
       }
     }
   }
-  if (server != nullptr) server->shutdown();
-  if (router != nullptr) router->shutdown();
+  server.shutdown();
   if (flight != nullptr) {
     if (flight->dump_to_file(sopts.flight_out)) {
       std::printf("wrote flight recorder (%llu events, %zu sessions) to "
@@ -521,18 +458,6 @@ int cmd_serve_sim(const ServeSimOptions& sopts) {
   std::printf("wire traffic: uplink %.1f B/epoch, downlink %.1f B/epoch\n",
               report.traffic.uplink_bytes_per_epoch(),
               report.traffic.downlink_bytes_per_epoch());
-  if (sharded) {
-    std::printf("fleet: %llu migrations (%llu failed), %llu rebalance "
-                "passes, %llu frames buffered mid-migration\n",
-                static_cast<unsigned long long>(
-                    registry.counter("shard.migrations").value()),
-                static_cast<unsigned long long>(
-                    registry.counter("shard.migration_failures").value()),
-                static_cast<unsigned long long>(
-                    registry.counter("shard.rebalances").value()),
-                static_cast<unsigned long long>(
-                    registry.counter("shard.buffered_frames").value()));
-  }
   if (chaos) {
     std::printf("degradation: %zu retries, %zu timeouts, %zu local epochs, "
                 "%zu B retransmitted\n",
@@ -557,7 +482,7 @@ int usage() {
                "  uniloc_cli replay <venue> <trace> [--cold-start]\n"
                "                    [--trace <out.jsonl>] [--metrics]\n"
                "  uniloc_cli serve-sim [--venue <name>] [--walkers N]\n"
-               "                    [--workers W] [--shards K] [--epochs E]\n"
+               "                    [--workers W] [--epochs E]\n"
                "                    [--seed S] [--faults <plan>]\n"
                "                    [--checkpoint-dir <dir>]\n"
                "                    [--metrics] [--statusz]\n"
@@ -565,11 +490,6 @@ int usage() {
                "                    [--flight <out.jsonl>]\n"
                "      <plan>: drop=P,dup=P,reorder=P,corrupt=P,delay_ms=D,\n"
                "              jitter_ms=J,seed=S,blackout=a:b[,...]\n"
-               "      --shards: K > 1 serves the fleet path -- a\n"
-               "              ShardRouter over K in-process shards\n"
-               "              (consistent-hash placement, per-round\n"
-               "              checkpoints + rebalancing); statusz then\n"
-               "              dumps every shard\n"
                "      --checkpoint-dir: persist a delta wave chain into\n"
                "              <dir> every second (quantized keyframe +\n"
                "              delta waves, async group commit), restore\n"
@@ -621,9 +541,6 @@ int main(int argc, char** argv) {
           sopts.walkers = std::stoul(argv[++i]);
         } else if (arg == "--workers" && i + 1 < argc) {
           sopts.workers = std::stoi(argv[++i]);
-        } else if (arg == "--shards" && i + 1 < argc) {
-          sopts.shards = std::stoul(argv[++i]);
-          if (sopts.shards == 0) sopts.shards = 1;
         } else if (arg == "--epochs" && i + 1 < argc) {
           sopts.epochs = std::stoul(argv[++i]);
         } else if (arg == "--seed" && i + 1 < argc) {

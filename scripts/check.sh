@@ -59,29 +59,24 @@ if [[ "${TSAN:-1}" != "0" ]]; then
   TSAN_DIR="${TSAN_DIR:-build-tsan}"
   cmake -B "$TSAN_DIR" -S . -DUNILOC_SANITIZE=thread
   cmake --build "$TSAN_DIR" -j "$JOBS" \
-    --target test_svc test_shard test_differential test_obs
+    --target test_svc test_differential test_obs
   ctest --test-dir "$TSAN_DIR" -L '^svc$' --output-on-failure -j "$JOBS"
-  # Fleet gate: the shard suite routes, migrates and rebalances across
-  # per-shard worker pools while a control thread checkpoints the fleet
-  # -- the router's route table and buffers are exactly where TSan finds
-  # lost-frame races.
-  ctest --test-dir "$TSAN_DIR" -L '^shard$' --output-on-failure -j "$JOBS"
   # Observability gate: the lock-free metrics (atomic counters/gauges),
   # the span tracer, and the flight recorder are all recorded from worker
   # threads concurrently -- the `obs` label's concurrency tests must be
   # clean under TSan too.
   ctest --test-dir "$TSAN_DIR" -L '^obs$' --output-on-failure -j "$JOBS"
-  # Invariance gate: the differential suite checks that worker count,
-  # the fleet (migration, membership churn) and shard crashes leave the
-  # served stream bit-identical. Its workers=4 sweeps let TSan check that
-  # each worker thread's epoch arena (scan memos and kernel buffers
-  # included) is touched by that thread alone, and that session state
-  # stays confined to its session strand.
+  # Invariance gate: the differential suite checks that worker count
+  # leaves the served stream bit-identical under link chaos. Its
+  # workers=4 sweeps let TSan check that each worker thread's epoch
+  # arena (scan memos and kernel buffers included) is touched by that
+  # thread alone, and that session state stays confined to its session
+  # strand.
   ctest --test-dir "$TSAN_DIR" -R '^diff\.' --output-on-failure -j "$JOBS"
-  # Property-test concurrency gate: the generated-world sweep spawns
-  # workers>0 and fleet passes for a quarter of its cases -- TSan watches
-  # the same pools/strands the svc gate covers, but under generated fault
-  # schedules and membership churn instead of hand-picked ones.
+  # Property-test concurrency gate: the generated-world sweep spawns a
+  # workers>0 pass for a quarter of its cases -- TSan watches the same
+  # pools/strands the svc gate covers, but under generated fault
+  # schedules and crash points instead of hand-picked ones.
   cmake --build "$TSAN_DIR" -j "$JOBS" --target test_proptest
   UNILOC_PROPTEST_CASES=32 ctest --test-dir "$TSAN_DIR" \
     -R '^proptest\.ChaosSweep' --output-on-failure -j "$JOBS"
@@ -120,10 +115,9 @@ if [[ "${ASAN:-1}" != "0" ]]; then
   cmake --build "$ASAN_DIR" -j "$JOBS" \
     --target test_svc test_fault test_golden test_differential
   ctest --test-dir "$ASAN_DIR" -L 'svc|chaos' --output-on-failure -j "$JOBS"
-  # Invariance gate: the worker, fleet and crash differentials must stay
-  # clean under ASan/UBSan -- the zero-allocation arena reuses buffers
-  # across epochs and sessions, exactly where stale-pointer bugs would
-  # hide.
+  # Invariance gate: the worker differentials must stay clean under
+  # ASan/UBSan -- the zero-allocation arena reuses buffers across epochs
+  # and sessions, exactly where stale-pointer bugs would hide.
   ctest --test-dir "$ASAN_DIR" -R '^diff\.' --output-on-failure -j "$JOBS"
   # Kernel-oracle gate: the env index, the scan memo and likelihood
   # cache, and the context-shared scheme kernels against the exact
@@ -144,14 +138,6 @@ if [[ "${ASAN:-1}" != "0" ]]; then
   # deserialization boundary, exactly where OOB reads would hide.
   cmake --build "$ASAN_DIR" -j "$JOBS" --target test_checkpoint
   ctest --test-dir "$ASAN_DIR" -L '^checkpoint$' --output-on-failure -j "$JOBS"
-  # Fleet gates: the whole shard suite under ASan (kMigrate adoption and
-  # checkpoint splitting are hostile-input boundaries), then the
-  # shard-crash chaos tests rerun by name -- the zero-session-loss claim
-  # (kill 1 of N shards, every session resurrects from its checkpoint,
-  # bit-identical) must fail loudly and greppably here.
-  cmake --build "$ASAN_DIR" -j "$JOBS" --target test_shard
-  ctest --test-dir "$ASAN_DIR" -L '^shard$' --output-on-failure -j "$JOBS"
-  ctest --test-dir "$ASAN_DIR" -R 'shard\..*Crash' --output-on-failure -j "$JOBS"
   # Chaos-with-tracing gate: the chaos suite includes fault.trace_*
   # tests that run scripted disasters with the span tracer attached and
   # assert zero span leaks (spans opened == spans closed) -- every epoch
@@ -161,8 +147,8 @@ if [[ "${ASAN:-1}" != "0" ]]; then
   ctest --test-dir "$ASAN_DIR" -R '\.trace_' --output-on-failure -j "$JOBS"
   # Property-test deep gate: 512 generated cases per engine under
   # ASan+UBSan. The generator reaches configurations no hand-written
-  # suite pins (burst arrival x blackout x crash/restore x churn), and
-  # the oracle's differential passes replay every frame through the
+  # suite pins (burst arrival x blackout x crash/restore x delta chain),
+  # and the oracle's differential passes replay every frame through the
   # FaultyLink retry path -- the densest traffic the codec and reply
   # buffers ever see. A failure shrinks, prints UNILOC_REPRO, and
   # appends the minimal spec to tests/corpus/reproducers.jsonl.

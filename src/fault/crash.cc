@@ -65,16 +65,4 @@ void ChainCrashInjector::on_round(std::size_t round) {
   deltas_applied_ += collapsed.deltas_applied;
 }
 
-void ShardCrashInjector::on_round(std::size_t round) {
-  router_->checkpoint_all();
-  ++checkpoints_;
-  if (!plan_->crash_at(round)) return;
-  const std::size_t victim = crashes_ % router_->shard_count();
-  ++crashes_;
-  last_victim_ = victim;
-  router_->crash_shard(victim);
-  sessions_recovered_ += router_->recover_shard(victim);
-  if (revive_) router_->revive_shard(victim);
-}
-
 }  // namespace uniloc::fault

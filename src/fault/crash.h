@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "fault/plan.h"
-#include "shard/router.h"
 #include "svc/server.h"
 
 namespace uniloc::fault {
@@ -113,41 +112,6 @@ class ChainCrashInjector {
   std::size_t crashes_{0};
   std::size_t deltas_applied_{0};
   std::size_t restore_failures_{0};
-};
-
-/// Whole-shard chaos for a fleet (shard/router.h): every round the whole
-/// fleet checkpoints; at rounds scripted via FaultPlan::script_crash one
-/// shard (rotating round-robin over the fleet) is killed, its session
-/// population is resurrected on the survivors from its last checkpoint,
-/// and -- when `revive` -- the dead shard rejoins empty, exactly the
-/// operational sequence of losing and replacing a node. The sharded
-/// differential tests pin that this whole disaster leaves the served
-/// epoch stream bit-identical to an undisturbed run.
-class ShardCrashInjector {
- public:
-  /// Both pointers must outlive the injector.
-  ShardCrashInjector(shard::ShardRouter* router, const FaultPlan* plan,
-                     bool revive = true)
-      : router_(router), plan_(plan), revive_(revive) {}
-
-  /// Call from LoadGenConfig::on_round (all sessions idle between
-  /// rounds, so every shard's snapshot is a clean cut).
-  void on_round(std::size_t round);
-
-  std::size_t checkpoints() const { return checkpoints_; }
-  std::size_t crashes() const { return crashes_; }
-  std::size_t sessions_recovered() const { return sessions_recovered_; }
-  /// The shard the most recent crash killed (next victim rotates).
-  std::size_t last_victim() const { return last_victim_; }
-
- private:
-  shard::ShardRouter* router_;
-  const FaultPlan* plan_;
-  bool revive_;
-  std::size_t checkpoints_{0};
-  std::size_t crashes_{0};
-  std::size_t sessions_recovered_{0};
-  std::size_t last_victim_{0};
 };
 
 }  // namespace uniloc::fault

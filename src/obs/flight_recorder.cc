@@ -24,8 +24,6 @@ const char* flight_kind_name(FlightKind k) {
     case FlightKind::kCrash: return "crash";
     case FlightKind::kSloBreach: return "slo_breach";
     case FlightKind::kError: return "error";
-    case FlightKind::kMigrateOut: return "migrate_out";
-    case FlightKind::kMigrateIn: return "migrate_in";
   }
   return "unknown";
 }

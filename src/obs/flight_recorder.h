@@ -40,10 +40,6 @@ enum class FlightKind : std::uint8_t {
   kCrash = 13,          ///< CrashInjector killed the server.
   kSloBreach = 14,      ///< SloMonitor burn rate crossed 1.0.
   kError = 15,          ///< Malformed frame / server-side error.
-  kMigrateOut = 16,     ///< Session extracted for shard migration.
-                        ///< a = serialized bytes.
-  kMigrateIn = 17,      ///< Session adopted from a kMigrate payload.
-                        ///< a = serialized bytes.
 };
 
 const char* flight_kind_name(FlightKind k);

@@ -7,8 +7,8 @@
 // A burn rate is the observed bad fraction divided by its budget -- 1.0
 // means the budget is being consumed exactly as fast as it is granted;
 // above 1.0 the SLO is breached. Burn rates, the windowed p99, and the
-// breach state export as `slo.*` gauges so the future shard rebalancer
-// (ROADMAP) can consume them, and the breach edge fires a callback the
+// breach state export as `slo.*` gauges, which the statusz dump and a
+// Prometheus scrape read, and the breach edge fires a callback the
 // server wires to a flight-recorder dump.
 #pragma once
 

@@ -112,16 +112,6 @@ std::string to_json(const CaseSpec& s) {
 
   w.kv("workers", static_cast<std::uint64_t>(s.workers));
   w.kv("batch", s.batch);
-  w.kv("shards", static_cast<std::uint64_t>(s.shards));
-  w.kv("migration_churn", s.migration_churn);
-  w.key("churn").begin_array();
-  for (const ChurnEvent& e : s.churn) {
-    w.begin_object();
-    w.kv("round", static_cast<std::uint64_t>(e.round));
-    w.kv("add", e.add);
-    w.end_object();
-  }
-  w.end_array();
   w.kv("crash_restore", s.crash_restore);
   w.kv("delta_chain", s.delta_chain);
   w.end_object();
@@ -200,26 +190,14 @@ std::optional<CaseSpec> from_json(const std::string& line) {
     s.faults.crash_rounds.push_back(r);
   }
 
-  if (!parse_u32(doc->find("workers"), &s.workers) ||
-      !parse_u32(doc->find("shards"), &s.shards) ||
-      !parse_bool(doc->find("migration_churn"), &s.migration_churn)) {
-    return std::nullopt;
-  }
+  if (!parse_u32(doc->find("workers"), &s.workers)) return std::nullopt;
   // "batch" is newer than the oldest corpus lines: absent means false (no
   // I8 pass), present must be well-typed.
   const obs::JsonValue* batch = doc->find("batch");
   if (batch != nullptr && !parse_bool(batch, &s.batch)) return std::nullopt;
-  const obs::JsonValue* churn = doc->find("churn");
-  if (churn == nullptr || !churn->is_array()) return std::nullopt;
-  for (const obs::JsonValue& e : churn->items) {
-    if (!e.is_object()) return std::nullopt;
-    ChurnEvent ev;
-    if (!parse_u32(e.find("round"), &ev.round) ||
-        !parse_bool(e.find("add"), &ev.add)) {
-      return std::nullopt;
-    }
-    s.churn.push_back(ev);
-  }
+  // The retired fleet keys ("shards", "migration_churn", "churn") are
+  // not read: a line that carries them replays as the same case without
+  // the fleet pass.
   if (!parse_bool(doc->find("crash_restore"), &s.crash_restore)) {
     return std::nullopt;
   }

@@ -2,8 +2,8 @@
 //
 // A case is everything the oracle needs to rebuild a world and rerun a
 // failure: the venue recipe, the deployment seed, the walker fleet and
-// its gait, the fault schedule, and the service shape (workers, shards,
-// crash/restore and membership churn). It serializes to ONE line of
+// its gait, the fault schedule, and the service shape (workers, the
+// scalar-kernel pass, crash/restore). It serializes to ONE line of
 // JSON -- the reproducer format the engine persists into the corpus and
 // prints as `UNILOC_REPRO ...` on any violation -- and parses back
 // bit-equivalently, so a failure found on a CI box replays anywhere.
@@ -12,23 +12,12 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "fault/generate.h"
 #include "sim/builders.h"
 #include "sim/imu_sim.h"
 
 namespace uniloc::proptest {
-
-/// One membership-churn event for the fleet pass: at the end of round
-/// `round`, either remove a live shard (checkpoint, crash, resurrect its
-/// sessions on the survivors) or add a previously-removed shard back.
-struct ChurnEvent {
-  std::uint32_t round{0};
-  bool add{false};  ///< false = remove a shard, true = revive one.
-
-  bool operator==(const ChurnEvent&) const = default;
-};
 
 struct CaseSpec {
   /// The seed this case was expanded from; identifies it in repro lines.
@@ -51,13 +40,6 @@ struct CaseSpec {
   // --- service shape ------------------------------------------------
   /// > 0 adds a workers-N pass that must be bit-identical to workers-0.
   std::uint32_t workers{0};
-  /// > 1 adds a fleet pass (ShardRouter over `shards` servers) that must
-  /// be bit-identical to the single server.
-  std::uint32_t shards{1};
-  /// Rotate every session one shard over each round of the fleet pass.
-  bool migration_churn{false};
-  /// Membership churn applied during the fleet pass.
-  std::vector<ChurnEvent> churn;
   /// Adds a pass with the SIMD kernels forced off that must be
   /// bit-identical to the base pass (invariant I8: scalar == vector).
   bool batch{false};
@@ -78,6 +60,8 @@ std::string to_json(const CaseSpec& spec);
 
 /// Inverse of to_json. nullopt on malformed input (bad syntax, missing
 /// or mistyped members) -- a hostile corpus line must never crash.
+/// Keys of retired fields (`shards`, `migration_churn`, `churn`) are
+/// ignored, so older corpus lines still replay.
 std::optional<CaseSpec> from_json(const std::string& line);
 
 /// The greppable one-line failure report:

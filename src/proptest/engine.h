@@ -52,7 +52,7 @@ struct EngineConfig {
   /// expensive; one minimal reproducer is what a human debugs first).
   std::size_t max_failures{1};
   /// Applied to every generated case before it runs: force a shape
-  /// (e.g. `c.shards = 3` for a churn-only suite). Corpus replays are
+  /// (e.g. `c.workers = 4` for a threads-only suite). Corpus replays are
   /// NOT mutated -- a reproducer replays exactly as persisted.
   std::function<void(CaseSpec& spec, std::size_t index)> mutate;
 };

@@ -42,32 +42,11 @@ CaseSpec generate_case(std::uint64_t engine_seed, std::size_t index) {
   s.delta_chain = s.crash_restore && rng.chance(0.5);
 
   // Service shape: a quarter of the cases run a workers-N differential
-  // pass, two-fifths a fleet pass, and fleet cases mix in migration
-  // rotation and membership churn.
+  // pass, and a quarter the I8 scalar differential pass.
   s.workers = rng.chance(0.25)
                   ? static_cast<std::uint32_t>(rng.uniform_int(1, 4))
                   : 0;
-  // A quarter of the cases run the I8 scalar differential pass. The
-  // discarded draw keeps every later draw -- and so every generated world
-  // and every seed in the corpus -- what it has always been.
   s.batch = rng.chance(0.25);
-  if (s.batch) (void)rng.uniform_int(2, 6);
-  s.shards = rng.chance(0.4)
-                 ? static_cast<std::uint32_t>(rng.uniform_int(2, 4))
-                 : 1;
-  if (s.shards > 1) {
-    s.migration_churn = rng.chance(0.5);
-    if (rng.chance(0.5) && s.epochs >= 4) {
-      const int events = rng.uniform_int(1, 2);
-      std::uint32_t round = 0;
-      for (int e = 0; e < events; ++e) {
-        round += static_cast<std::uint32_t>(
-            rng.uniform_int(1, static_cast<int>(s.epochs / 2)));
-        // Alternate remove/add so every revive has something to revive.
-        s.churn.push_back({round, e % 2 == 1});
-      }
-    }
-  }
   return s;
 }
 

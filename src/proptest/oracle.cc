@@ -5,7 +5,6 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -18,7 +17,6 @@
 #include "fault/link.h"
 #include "geo/bbox.h"
 #include "obs/metrics.h"
-#include "shard/router.h"
 #include "sim/builders.h"
 #include "stats/simd.h"
 #include "svc/loadgen.h"
@@ -134,7 +132,6 @@ class CaseRunner {
 
   PassResult run_single(int workers, Injector injector,
                         const std::string& label);
-  PassResult run_fleet();
 
   void check_report(const PassResult& pass);
   void compare_passes(const PassResult& ref, const PassResult& other,
@@ -206,7 +203,7 @@ svc::LoadGenConfig CaseRunner::load_config(const obs::Counter* up) {
   lg.resilience.retry.max_retries = 1;
   lg.resilience.probe_period = 2;
   lg.resilience.record_timeline = true;
-  lg.make_link = [this, up](svc::Endpoint& s, std::uint64_t sid) {
+  lg.make_link = [this, up](svc::LocalizationServer& s, std::uint64_t sid) {
     std::unique_ptr<svc::Link> link = std::make_unique<svc::DirectLink>(&s);
     link = std::make_unique<fault::FaultyLink>(std::move(link), &plan_, sid);
     return std::make_unique<OdometerLink>(std::move(link), up, &violations_,
@@ -252,69 +249,6 @@ PassResult CaseRunner::run_single(int workers, Injector injector,
   if (injector == Injector::kChain && chain_injector.restore_failures() > 0) {
     violation("I9: " + std::to_string(chain_injector.restore_failures()) +
               " collapse-restore(s) of our own delta chain failed");
-  }
-  return pass;
-}
-
-PassResult CaseRunner::run_fleet() {
-  obs::MetricsRegistry reg;
-  shard::RouterConfig rcfg;
-  rcfg.shards = spec_.shards;
-  rcfg.server.workers = 0;
-  const std::string label = "fleet";
-  rcfg.server.on_epoch = [this, label](std::uint64_t,
-                                       const core::EpochDecision& d) {
-    check_decision(d, label);
-  };
-  shard::ShardRouter router(rcfg, factory(), &reg);
-
-  const obs::Counter* up = &reg.counter("offload.uplink_bytes");
-  svc::LoadGenConfig lg = load_config(up);
-
-  std::set<std::size_t> dead;
-  std::size_t next_victim = 0;
-  lg.on_round = [&, this](std::size_t round) {
-    // Checkpoint every round so a membership removal always has a fresh
-    // snapshot to resurrect from (same cadence as ShardCrashInjector).
-    if (!spec_.churn.empty()) router.checkpoint_all();
-    for (const ChurnEvent& e : spec_.churn) {
-      if (e.round != round) continue;
-      if (e.add) {
-        if (!dead.empty()) {
-          const std::size_t k = *dead.begin();
-          router.revive_shard(k);
-          dead.erase(k);
-        }
-      } else if (dead.size() + 1 < router.shard_count()) {
-        // Remove a live shard, rotating the victim; its whole session
-        // population must resurrect on the survivors.
-        std::size_t k = next_victim % router.shard_count();
-        while (dead.count(k) != 0) k = (k + 1) % router.shard_count();
-        next_victim = k + 1;
-        router.crash_shard(k);
-        router.recover_shard(k);
-        dead.insert(k);
-      }
-    }
-    if (spec_.migration_churn) {
-      // Rotate every live session one shard over, skipping the dead.
-      for (std::uint64_t sid = 1; sid <= spec_.walkers; ++sid) {
-        std::size_t to = (router.shard_of(sid) + 1) % router.shard_count();
-        while (dead.count(to) != 0) to = (to + 1) % router.shard_count();
-        router.migrate(sid, to);
-      }
-    }
-  };
-
-  PassResult pass;
-  pass.report = run_load(router, deployment_, lg, &reg);
-  pass.uplink_counter = up->value();
-  // I7's zero-session-loss half: every walker said bye and no recovered
-  // ghost lingers anywhere in the fleet.
-  if (router.live_sessions() != 0) {
-    violation("I7: fleet still holds " +
-              std::to_string(router.live_sessions()) +
-              " session(s) after all walkers left");
   }
   return pass;
 }
@@ -461,10 +395,6 @@ Verdict CaseRunner::run(const OracleOptions& opts) {
                    run_single(static_cast<int>(spec_.workers),
                               Injector::kNone, "workers"),
                    "I6 (workers)");
-  }
-
-  if (opts.check_fleet && spec_.shards > 1) {
-    compare_passes(ref, run_fleet(), "I7 (fleet)");
   }
 
   if (opts.check_batch && spec_.batch) {

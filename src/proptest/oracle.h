@@ -1,6 +1,6 @@
 // The oracle: runs one CaseSpec end to end and checks the global
 // invariants the paper's correctness story rests on. Whatever the
-// generated world, gait, fault schedule, crash points or fleet churn do:
+// generated world, gait, fault schedule or crash points do:
 //
 //   I0  Every served decision obeys the paper's arithmetic: tau, the
 //       Eq. 2 confidences, UniLoc1's argmax, the Eq. 3-5 weights and
@@ -19,9 +19,6 @@
 //   I5  checkpoint/restore is invisible: a run crashed and restored at
 //       the scheduled rounds is bit-identical to the undisturbed run.
 //   I6  Worker count is invisible: workers-N == workers-0, bit for bit.
-//   I7  The fleet is invisible: a ShardRouter over N shards -- through
-//       migration rotation and membership churn -- serves the exact
-//       stream of a single server, and no session is ever lost.
 //   I8  Vectorization is invisible: a pass with the SIMD kernels forced
 //       OFF (stats::ScopedSimd) reproduces the base pass -- which runs
 //       with the kernels ON -- bit for bit, NaN-aware like every pass
@@ -61,7 +58,6 @@ struct Verdict {
 struct OracleOptions {
   bool check_crash_restore{true};
   bool check_workers{true};
-  bool check_fleet{true};
   bool check_batch{true};
   bool check_delta_chain{true};
 };

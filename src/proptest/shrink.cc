@@ -70,7 +70,7 @@ CaseSpec shrink_case(const CaseSpec& failing, const FailFn& still_fails,
   Shrinker s(failing, still_fails, budget, stats);
 
   // One pass is usually enough (each field is independent), but a
-  // smaller world can unlock a smaller fleet and vice versa -- loop to a
+  // smaller world can unlock fewer walkers and vice versa -- loop to a
   // fixpoint, bounded by the budget.
   for (int round = 0; round < 3 && !s.exhausted(); ++round) {
     const CaseSpec before = s.best();
@@ -109,36 +109,11 @@ CaseSpec shrink_case(const CaseSpec& failing, const FailFn& still_fails,
       c.batch = false;
       s.accept(c);
     }
-    s.minimize<std::uint32_t>(s.best().shards, 1,
-                              [](CaseSpec& c, std::uint32_t v) {
-                                c.shards = v;
-                                if (v <= 1) {
-                                  c.migration_churn = false;
-                                  c.churn.clear();
-                                }
-                              });
 
     // --- pass 2: the schedules ----------------------------------------
     {
-      // Churn events, then crash rounds, then blackout windows -- each
-      // "whole list empty?" probe first, then element-wise removal.
-      CaseSpec c = s.best();
-      c.churn.clear();
-      s.accept(c);
-      bool changed = true;
-      while (changed && !s.exhausted()) {
-        changed = false;
-        for (std::size_t i = 0; i < s.best().churn.size(); ++i) {
-          CaseSpec m = s.best();
-          m.churn.erase(m.churn.begin() + static_cast<std::ptrdiff_t>(i));
-          if (s.accept(m)) {
-            changed = true;
-            break;
-          }
-        }
-      }
-    }
-    {
+      // Crash rounds, then blackout windows -- each "whole list empty?"
+      // probe first, then element-wise removal.
       CaseSpec c = s.best();
       c.faults.crash_rounds.clear();
       c.crash_restore = false;
@@ -193,11 +168,6 @@ CaseSpec shrink_case(const CaseSpec& failing, const FailFn& still_fails,
         case 4: c.faults.rates.base_delay_us = 0; break;
         case 5: c.faults.rates.jitter_delay_us = 0; break;
       }
-      s.accept(c);
-    }
-    {
-      CaseSpec c = s.best();
-      c.migration_churn = false;
       s.accept(c);
     }
     {

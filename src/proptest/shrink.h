@@ -6,13 +6,13 @@
 // fixpoint under an evaluation budget:
 //
 //   1. scalar minimization -- epochs, walkers, burst, venue size
-//      (walkways / legs / leg length / towers), workers, shards --
+//      (walkways / legs / leg length / towers), workers --
 //      floor-first, then binary search between the floor and the
 //      current value (greedy: any failing probe becomes the new best);
-//   2. list minimization -- churn events, crash rounds, blackout
-//      windows: try empty, then dropping each element;
-//   3. field zeroing -- fault rates, link delays, migration churn,
-//      gait back to the default profile.
+//   2. list minimization -- crash rounds, blackout windows: try empty,
+//      then dropping each element;
+//   3. field zeroing -- fault rates, link delays, the scalar and
+//      delta-chain passes, gait back to the default profile.
 //
 // Every accepted candidate strictly simplifies the spec, so the loop
 // terminates; the budget caps total oracle re-runs (each one is an

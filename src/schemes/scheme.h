@@ -39,7 +39,7 @@ struct EpochContext;  // schemes/epoch_context.h
 /// the restored state (the server passes the session's Place bounds,
 /// which are immutable for a session's lifetime). The default context
 /// selects the lossless f64 codec (format v1) -- the only one permitted
-/// for live migration and crash/restore bit-identity.
+/// for crash/restore bit-identity.
 struct SnapshotContext {
   bool quantize{false};
   geo::BBox venue;

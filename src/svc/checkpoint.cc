@@ -16,11 +16,6 @@ bool check_snapshot_header(offload::ByteReader& r, std::uint8_t& version) {
   return version == kSnapshotVersion || version == kSnapshotVersionQuantized;
 }
 
-bool check_snapshot_header(offload::ByteReader& r) {
-  std::uint8_t version;
-  return check_snapshot_header(r, version) && version == kSnapshotVersion;
-}
-
 bool read_session_record_header(offload::ByteReader& r,
                                 SessionRecordHeader& out) {
   if (!r.get_u64(out.id) || !r.get_u64(out.last_active_us) ||

@@ -40,8 +40,8 @@ inline constexpr std::uint8_t kSnapshotVersion = 1;
 /// (fixed-point u16 positions/headings within the venue bbox; see
 /// filter/particle_filter.h). Restore-then-resnapshot is byte-stable,
 /// but the dequantized state differs from the original by up to half a
-/// grid step -- v2 is for the durable checkpoint chain, never for live
-/// migration (which must be bit-lossless).
+/// grid step -- v2 is for the durable checkpoint chain, never for
+/// snapshot(), whose crash/restore round trip must be bit-lossless.
 inline constexpr std::uint8_t kSnapshotVersionQuantized = 2;
 
 /// Hard cap on the decoded session count: a 4-byte count field must not
@@ -63,13 +63,8 @@ void write_snapshot_header(offload::ByteWriter& w,
 /// version (callers thread it into Uniloc::restore_from).
 bool check_snapshot_header(offload::ByteReader& r, std::uint8_t& version);
 
-/// Back-compat shim: accepts only version-1 snapshots.
-bool check_snapshot_header(offload::ByteReader& r);
-
 /// The fixed-size prefix of one per-session record. Shared by the full
-/// server snapshot, the kMigrate wire payload (exactly one record after
-/// the snapshot header), and the shard-recovery splitter that re-homes a
-/// dead shard's checkpoint session by session.
+/// server snapshot and the delta chain's wave records (svc/delta.h).
 struct SessionRecordHeader {
   std::uint64_t id{0};
   std::uint64_t last_active_us{0};

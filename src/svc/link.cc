@@ -3,6 +3,8 @@
 #include <cmath>
 #include <utility>
 
+#include "svc/server.h"
+
 namespace uniloc::svc {
 
 std::future<LinkReply> DirectLink::send(std::vector<std::uint8_t> request) {

@@ -18,9 +18,9 @@
 #include <future>
 #include <vector>
 
-#include "svc/endpoint.h"
-
 namespace uniloc::svc {
+
+class LocalizationServer;
 
 struct LinkReply {
   enum class Status : std::uint8_t {
@@ -46,17 +46,16 @@ class Link {
   virtual std::future<LinkReply> send(std::vector<std::uint8_t> request) = 0;
 };
 
-/// The perfect transport: every frame reaches the endpoint (a single
-/// server or a shard router), every reply returns with zero simulated
-/// delay.
+/// The perfect transport: every frame reaches the server, every reply
+/// returns with zero simulated delay.
 class DirectLink : public Link {
  public:
-  explicit DirectLink(Endpoint* server) : server_(server) {}
+  explicit DirectLink(LocalizationServer* server) : server_(server) {}
 
   std::future<LinkReply> send(std::vector<std::uint8_t> request) override;
 
  private:
-  Endpoint* server_;
+  LocalizationServer* server_;
 };
 
 /// Client-side degradation policy: per-request timeout, bounded retry

@@ -405,7 +405,7 @@ void collect(Ctx& ctx, Pending& p) {
 
 }  // namespace
 
-LoadReport run_load(Endpoint& server, const core::Deployment& d,
+LoadReport run_load(LocalizationServer& server, const core::Deployment& d,
                     const LoadGenConfig& cfg,
                     obs::MetricsRegistry* registry) {
   // The schemes running on worker threads query the shared Place; build

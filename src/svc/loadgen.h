@@ -51,10 +51,9 @@ namespace uniloc::svc {
 
 /// Builds the transport for one phone. Default: perfect DirectLink.
 /// Chaos runs return a fault::FaultyLink here (typically wrapping a
-/// DirectLink built over `server` -- a single LocalizationServer or a
-/// shard::ShardRouter, both svc::Endpoint).
+/// DirectLink built over `server`).
 using LinkFactory = std::function<std::unique_ptr<Link>(
-    Endpoint& server, std::uint64_t session_id)>;
+    LocalizationServer& server, std::uint64_t session_id)>;
 
 /// Client-side degradation policy knobs (see the state machine above).
 struct ResilienceConfig {
@@ -99,7 +98,7 @@ struct LoadGenConfig {
   std::uint64_t first_session_id{1};
   /// Template for every walker's WalkConfig (gait, device, sensor
   /// noise); each walker's seed is still derived from `seed`. The
-  /// property-test generator's seam into the simulated fleet.
+  /// property-test generator's seam into the simulated walkers.
   sim::WalkConfig walk{};
   /// Transport per phone; null = DirectLink (perfect wire).
   LinkFactory make_link;
@@ -171,7 +170,7 @@ struct LoadReport {
 /// offload byte counters and the degradation transitions in the
 /// `fault.{retries,timeouts}` / `svc.degraded.*` instruments.
 /// Single-threaded on the caller's side.
-LoadReport run_load(Endpoint& server, const core::Deployment& d,
+LoadReport run_load(LocalizationServer& server, const core::Deployment& d,
                     const LoadGenConfig& cfg,
                     obs::MetricsRegistry* registry = nullptr);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "core/epoch_scratch.h"
@@ -55,7 +54,6 @@ LocalizationServer::LocalizationServer(ServerConfig cfg,
     ins_.request_us = &registry->histogram("svc.request_us");
     ins_.parse_us = &registry->histogram("svc.parse_us");
     ins_.locate_us = &registry->histogram("svc.locate_us");
-    ins_.net_us = &registry->histogram("svc.net_us");
     ins_.perf_cache_hits = &registry->counter("perf.cache_hits");
     ins_.perf_cache_misses = &registry->counter("perf.cache_misses");
     ins_.perf_scratch_bytes = &registry->gauge("perf.scratch_bytes");
@@ -137,9 +135,6 @@ std::future<std::vector<std::uint8_t>> LocalizationServer::submit(
       break;
     case FrameType::kStatus:
       handle_status(frame, promise);
-      break;
-    case FrameType::kMigrate:
-      handle_migrate(frame, promise);
       break;
     case FrameType::kReply:
     case FrameType::kError:
@@ -338,20 +333,6 @@ void LocalizationServer::run_epoch(Session& session,
   const std::uint64_t misses_delta = misses1 - misses0;
   const std::size_t scratch_bytes = scratch.bytes();
 
-  stage.restart();
-  {
-    obs::SpanHandle net_span;
-    if (tracer != nullptr) {
-      net_span = tracer->begin("svc.net", "svc", root.trace_id,
-                               root.span_id, session_id);
-    }
-    if (cfg_.simulated_network.count() > 0) {
-      std::this_thread::sleep_for(cfg_.simulated_network);
-    }
-    if (tracer != nullptr) tracer->end(net_span);
-  }
-  const double net_us = stage.elapsed_us();
-
   obs::SpanHandle encode_span;
   if (tracer != nullptr) {
     encode_span = tracer->begin("svc.encode", "svc", root.trace_id,
@@ -398,7 +379,6 @@ void LocalizationServer::run_epoch(Session& session,
   std::lock_guard<std::mutex> lock(ins_.mu);
   if (ins_.parse_us != nullptr) ins_.parse_us->observe(parse_us);
   if (ins_.locate_us != nullptr) ins_.locate_us->observe(locate_us);
-  if (ins_.net_us != nullptr) ins_.net_us->observe(net_us);
   if (ins_.request_us != nullptr) ins_.request_us->observe(request_us);
 }
 
@@ -729,102 +709,6 @@ bool LocalizationServer::restore(const std::vector<std::uint8_t>& snapshot) {
   return true;
 }
 
-std::optional<std::vector<std::uint8_t>> LocalizationServer::extract_session(
-    std::uint64_t id) {
-  const SessionPtr session = sessions_.find(id);
-  if (session == nullptr) return std::nullopt;
-  // Pin first, then quiesce: between the drain finishing and the erase
-  // below, a TTL scan must not evict the session out from under the
-  // serialization (the eviction-vs-migration race the shard tests pin).
-  session->set_pinned(true);
-  while (!session->idle()) std::this_thread::yield();
-
-  offload::ByteWriter w;
-  write_snapshot_header(w);
-  w.put_u64(session->id());
-  w.put_u64(session->last_active_us());
-  w.put_u64(static_cast<std::uint64_t>(session->epochs_served()));
-  const std::size_t len_pos = w.size();
-  w.put_u32(0);
-  const std::size_t start = w.size();
-  session->uniloc().snapshot_into(w, /*quantize=*/false);
-  w.patch_u32(len_pos, static_cast<std::uint32_t>(w.size() - start));
-
-  sessions_.erase(id);
-  note_live_sessions();
-  std::vector<std::uint8_t> payload = w.take();
-  if (cfg_.flight != nullptr) {
-    obs::FlightEvent ev;
-    ev.session_id = id;
-    ev.epoch = session->epochs_served();
-    ev.kind = obs::FlightKind::kMigrateOut;
-    ev.a = static_cast<std::int64_t>(payload.size());
-    cfg_.flight->record(ev);
-  }
-  return payload;
-}
-
-std::optional<ErrorCode> LocalizationServer::adopt_session(
-    const std::vector<std::uint8_t>& payload, std::uint64_t expected_id) {
-  offload::ByteReader r(payload.data(), payload.size());
-  // Live migration always ships the lossless v1 codec, but recovery from
-  // a quantized delta chain splits a v2 snapshot into kMigrate payloads,
-  // so adoption accepts either version.
-  std::uint8_t version;
-  if (!check_snapshot_header(r, version)) return ErrorCode::kMalformed;
-  const bool quantized = version == kSnapshotVersionQuantized;
-  SessionRecordHeader rec;
-  if (!read_session_record_header(r, rec)) return ErrorCode::kMalformed;
-  // The record's embedded id must match the frame's routing id: a payload
-  // smuggling a different session under a routed id is hostile input.
-  if (rec.id != expected_id) return ErrorCode::kMalformed;
-
-  // Same rebuild discipline as restore(): factory + restore_from, no
-  // reset() (it would consume RNG draws the original session never made).
-  std::unique_ptr<core::Uniloc> uniloc = factory_(rec.id);
-  uniloc->attach_tracer(cfg_.tracer);
-  const std::size_t before = r.pos();
-  if (!uniloc->restore_from(r, quantized) ||
-      r.pos() - before != rec.payload_len || r.remaining() != 0) {
-    return ErrorCode::kMalformed;
-  }
-  const SessionPtr session = sessions_.create(rec.id, std::move(uniloc), 0);
-  if (session == nullptr) return ErrorCode::kSessionExists;
-  session->restore_bookkeeping(rec.last_active_us,
-                               static_cast<std::size_t>(rec.epochs_served));
-  note_live_sessions();
-  if (cfg_.flight != nullptr) {
-    obs::FlightEvent ev;
-    ev.session_id = rec.id;
-    ev.epoch = rec.epochs_served;
-    ev.kind = obs::FlightKind::kMigrateIn;
-    ev.a = static_cast<std::int64_t>(payload.size());
-    cfg_.flight->record(ev);
-  }
-  return std::nullopt;
-}
-
-void LocalizationServer::handle_migrate(const Frame& frame,
-                                        const Promise& promise) {
-  const std::optional<ErrorCode> err =
-      adopt_session(frame.payload, frame.session_id);
-  if (err.has_value()) {
-    if (*err == ErrorCode::kMalformed) {
-      count_malformed();
-    } else if (ins_.rejected != nullptr) {
-      ins_.rejected->inc();
-    }
-    promise->set_value(
-        encode_frame(make_error_frame(frame.session_id, *err)));
-    return;
-  }
-  count_accepted();
-  Frame reply;
-  reply.type = FrameType::kReply;
-  reply.session_id = frame.session_id;
-  promise->set_value(encode_frame(reply));
-}
-
 void LocalizationServer::crash() {
   await_waves();
   sessions_.clear();
@@ -837,19 +721,11 @@ void LocalizationServer::crash() {
 }
 
 std::size_t LocalizationServer::evict_idle() {
-  std::vector<std::uint64_t> evicted_ids;
   const std::size_t evicted = sessions_.evict_idle(
-      now_us(), static_cast<std::uint64_t>(cfg_.idle_ttl_s * 1e6),
-      cfg_.on_evict ? &evicted_ids : nullptr);
+      now_us(), static_cast<std::uint64_t>(cfg_.idle_ttl_s * 1e6));
   if (evicted > 0) {
-    {
-      std::lock_guard<std::mutex> lock(ins_.mu);
-      if (ins_.evicted != nullptr) ins_.evicted->inc(evicted);
-    }
+    if (ins_.evicted != nullptr) ins_.evicted->inc(evicted);
     note_live_sessions();
-    // Propagate departures to placement layers (e.g. the shard router's
-    // affinity overrides) after the stripe locks are released.
-    for (const std::uint64_t id : evicted_ids) cfg_.on_evict(id);
   }
   return evicted;
 }

@@ -31,24 +31,21 @@
 //   gauges    svc.live_sessions, svc.queue_depth
 //   counters  svc.accepted, svc.rejected, svc.evicted, svc.malformed
 //   histograms svc.request_us (accept -> reply, queue wait included),
-//              svc.parse_us, svc.locate_us, svc.net_us (per stage).
+//              svc.parse_us, svc.locate_us (per stage).
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "core/uniloc.h"
 #include "obs/span.h"
 #include "obs/timer.h"
 #include "svc/committer.h"
-#include "svc/endpoint.h"
 #include "svc/session_manager.h"
 #include "svc/statusz.h"
 #include "svc/thread_pool.h"
@@ -84,12 +81,6 @@ struct ServerConfig {
   /// Sessions are TTL-scanned every this many accepted frames (plus on
   /// every explicit evict_idle() call).
   std::size_t evict_scan_period{256};
-  /// Blocking per-epoch network time simulated on the worker: the
-  /// synchronous reply push of the phone/server split (Table V measures
-  /// 52 + 63 ms of transmissions per fix on campus WLAN). Workers overlap
-  /// these waits across sessions exactly like a real synchronous server;
-  /// 0 (the default) disables the wait for unit tests and replays.
-  std::chrono::microseconds simulated_network{0};
   /// Injectable clock (microseconds, monotonic) for deterministic TTL
   /// tests; defaults to steady_clock. sim::VirtualClock::now_fn() plugs
   /// in here.
@@ -125,9 +116,8 @@ struct ServerConfig {
   std::size_t keyframe_interval{16};
   /// Encode chain waves with the quantized particle codec (checkpoint
   /// format v2, ~4x smaller; filter/particle_filter.h documents the
-  /// error budget). Never applies to snapshot()/extract_session, which
-  /// stay lossless -- migration and crash/restore bit-identity depend
-  /// on it.
+  /// error budget). Never applies to snapshot(), which stays lossless
+  /// -- crash/restore bit-identity depends on it.
   bool snapshot_quantize{false};
   /// Async group commit (svc/committer.h). Non-null offloads wave file
   /// I/O (write, fsync, rename, dir fsync) to the committer's thread,
@@ -138,14 +128,10 @@ struct ServerConfig {
   /// Not owned; must outlive the server, which waits in shutdown(),
   /// crash() and its destructor until every wave it queued has settled.
   GroupCommitter* committer{nullptr};
-  /// Called (on the evicting thread) with each session id dropped by a
-  /// TTL scan, so placement layers can forget the session -- the shard
-  /// router's affinity override map otherwise grows without bound.
-  std::function<void(std::uint64_t session_id)> on_evict;
   /// Causal span tracing (obs/span.h). Null = disabled; the detached
   /// cost on the epoch path is a branch per instrumentation point. One
   /// span tree per served epoch: svc.epoch > {svc.queue_wait,
-  /// svc.decode, svc.locate > core spans, svc.net, svc.encode}.
+  /// svc.decode, svc.locate > core spans, svc.encode}.
   obs::SpanTracer* tracer{nullptr};
   /// Per-session flight recorder; every served epoch records its scheme
   /// decision, every malformed epoch an error event. Null = off.
@@ -155,11 +141,11 @@ struct ServerConfig {
   obs::SloMonitor* slo{nullptr};
 };
 
-class LocalizationServer : public Endpoint {
+class LocalizationServer {
  public:
   LocalizationServer(ServerConfig cfg, UnilocFactory factory,
                      obs::MetricsRegistry* registry = nullptr);
-  ~LocalizationServer() override;
+  ~LocalizationServer();
 
   LocalizationServer(const LocalizationServer&) = delete;
   LocalizationServer& operator=(const LocalizationServer&) = delete;
@@ -167,7 +153,7 @@ class LocalizationServer : public Endpoint {
   /// Process one encoded frame. The future always yields an encoded reply
   /// frame (kReply or kError) -- errors travel in-band, like on a socket.
   std::future<std::vector<std::uint8_t>> submit(
-      std::vector<std::uint8_t> request) override;
+      std::vector<std::uint8_t> request);
 
   /// TTL-scan now. Returns sessions evicted.
   std::size_t evict_idle();
@@ -244,22 +230,6 @@ class LocalizationServer : public Endpoint {
   /// leave its last epochs off the chain.
   void checkpoint_wave_now();
 
-  /// Remove one session for migration: pin it against TTL eviction, wait
-  /// for its strand to drain (quiesce), serialize it as a standalone
-  /// kMigrate payload (snapshot header + one session record), then erase
-  /// it from this server. Subsequent frames for the id get
-  /// kUnknownSession. nullopt when the id is not live here.
-  std::optional<std::vector<std::uint8_t>> extract_session(std::uint64_t id);
-
-  /// Install a session from a kMigrate payload produced by
-  /// extract_session (or by the shard-recovery checkpoint splitter). The
-  /// record's session id must equal `expected_id` (the frame's routing
-  /// id). Returns nullopt on success, else the error to reply with:
-  /// kMalformed for any framing/codec violation, kSessionExists when the
-  /// id is already live here. On failure no session state changes.
-  std::optional<ErrorCode> adopt_session(
-      const std::vector<std::uint8_t>& payload, std::uint64_t expected_id);
-
   /// Simulate a process crash: all in-RAM session state is lost (the
   /// object survives so callers holding references keep working, as a
   /// restarted process would reuse the same address). Waves already
@@ -294,7 +264,6 @@ class LocalizationServer : public Endpoint {
     obs::Histogram* request_us{nullptr};
     obs::Histogram* parse_us{nullptr};
     obs::Histogram* locate_us{nullptr};
-    obs::Histogram* net_us{nullptr};
     // Epoch pipeline health: likelihood-cache outcomes aggregated across
     // sessions, and the footprint of the arena that served the most
     // recent epoch.
@@ -315,7 +284,6 @@ class LocalizationServer : public Endpoint {
   void handle_epoch(Frame frame, const Promise& promise);
   void handle_bye(const Frame& frame, const Promise& promise);
   void handle_status(const Frame& frame, const Promise& promise);
-  void handle_migrate(const Frame& frame, const Promise& promise);
   /// Runs on a worker (or inline): parse payload, run the epoch, reply.
   /// `accepted_at` was started when submit() accepted the frame, so
   /// svc.request_us includes the queue wait. `root`/`queue_wait` are the

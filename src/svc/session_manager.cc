@@ -84,16 +84,6 @@ bool Session::idle() const {
   return inbox_count_ == 0 && !draining_;
 }
 
-void Session::set_pinned(bool pinned) {
-  std::lock_guard<std::mutex> lock(mu_);
-  pinned_ = pinned;
-}
-
-bool Session::pinned() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return pinned_;
-}
-
 void Session::touch(std::uint64_t now_us) {
   std::lock_guard<std::mutex> lock(mu_);
   last_active_us_ = now_us;
@@ -181,20 +171,13 @@ bool SessionManager::erase(std::uint64_t id) {
 }
 
 std::size_t SessionManager::evict_idle(std::uint64_t now_us,
-                                       std::uint64_t idle_ttl_us,
-                                       std::vector<std::uint64_t>* evicted_ids) {
+                                       std::uint64_t idle_ttl_us) {
   std::size_t evicted = 0;
   for (std::unique_ptr<Stripe>& stripe : stripes_) {
     std::lock_guard<std::mutex> lock(stripe->mu);
-    std::erase_if(stripe->sessions, [&](const SessionPtr& s) {
-      const bool evict = s->idle() && !s->pinned() &&
-                         now_us >= s->last_active_us() &&
-                         now_us - s->last_active_us() >= idle_ttl_us;
-      if (evict) {
-        ++evicted;
-        if (evicted_ids != nullptr) evicted_ids->push_back(s->id());
-      }
-      return evict;
+    evicted += std::erase_if(stripe->sessions, [&](const SessionPtr& s) {
+      return s->idle() && now_us >= s->last_active_us() &&
+             now_us - s->last_active_us() >= idle_ttl_us;
     });
   }
   return evicted;

@@ -68,14 +68,6 @@ class Session {
   /// True when no task is queued or running (eviction safety check).
   bool idle() const;
 
-  /// Pin the session against TTL eviction. Set while a migration drains
-  /// the strand and serializes the state: the session must not vanish
-  /// between "chosen to move" and "erased from the source shard", even
-  /// if a TTL scan fires in that window. Cleared implicitly when the
-  /// migration erases the session (pin state travels with the object).
-  void set_pinned(bool pinned);
-  bool pinned() const;
-
   /// Refresh the last-active stamp without enqueuing work.
   void touch(std::uint64_t now_us);
 
@@ -116,7 +108,6 @@ class Session {
   std::size_t inbox_head_{0};
   std::size_t inbox_count_{0};
   bool draining_{false};
-  bool pinned_{false};
   std::uint64_t last_active_us_{0};
   std::size_t epochs_served_{0};
   /// Monotonic state-change counter vs. the mark the last checkpoint
@@ -142,12 +133,7 @@ class SessionManager {
 
   /// Evict every idle session older than `idle_ttl_us`. Returns the
   /// number evicted. Busy sessions (queued/running work) are skipped.
-  /// `evicted_ids` (optional) collects the ids that were dropped, so the
-  /// caller can propagate the departure -- e.g. the shard router must
-  /// erase its affinity override or it pins a dead session's placement
-  /// forever (the unbounded-overrides bug this parameter fixes).
-  std::size_t evict_idle(std::uint64_t now_us, std::uint64_t idle_ttl_us,
-                         std::vector<std::uint64_t>* evicted_ids = nullptr);
+  std::size_t evict_idle(std::uint64_t now_us, std::uint64_t idle_ttl_us);
 
   std::size_t size() const;
   std::size_t stripes() const { return stripes_.size(); }

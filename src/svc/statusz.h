@@ -1,7 +1,7 @@
 // Live server introspection: one health dump, two encodings.
 //
-// ServerStatus is a point-in-time snapshot of everything an operator (or
-// the future shard rebalancer) needs to judge a LocalizationServer: the
+// ServerStatus is a point-in-time snapshot of everything an operator
+// needs to judge a LocalizationServer: the
 // session population with per-session age/queue depth/progress, thread
 // pool occupancy, and whether intake is stopping. status_json() renders
 // it with the full metrics registry + SLO state as one JSON document

@@ -27,7 +27,6 @@ bool known_type(std::uint8_t t) {
     case FrameType::kEpoch:
     case FrameType::kBye:
     case FrameType::kStatus:
-    case FrameType::kMigrate:
     case FrameType::kReply:
     case FrameType::kError:
       return true;

@@ -37,12 +37,6 @@ enum class FrameType : std::uint8_t {
   kBye = 3,    ///< Close a session; empty payload.
   kStatus = 4,  ///< Admin: dump server health; payload = one
                 ///< StatusFormat byte. Reply payload = UTF-8 text.
-  kMigrate = 5,  ///< Shard-to-shard session transfer; payload = one
-                 ///< versioned session record (svc/checkpoint.h): the
-                 ///< snapshot header followed by the session's serialized
-                 ///< state. Reply = empty kReply ack, or kError
-                 ///< (kMalformed / kSessionExists) -- the sender keeps
-                 ///< ownership of the session until the ack arrives.
   kReply = 0x81,  ///< Server reply; payload = DownlinkFrame bytes (kEpoch)
                   ///< or empty (kHello / kBye acks).
   kError = 0xFF,  ///< Server rejection; payload = one ErrorCode byte.

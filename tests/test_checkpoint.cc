@@ -3,7 +3,7 @@
 // The snapshot codec (svc/checkpoint.h) claims that a server killed at an
 // arbitrary round and restored from its latest checkpoint serves the
 // exact epoch stream of an uninterrupted run. These tests hold it to that
-// claim the same way the worker and fleet differentials do -- bit-for-bit
+// claim the same way the worker differentials do -- bit-for-bit
 // comparisons, never tolerances:
 //
 //   * codec round trips at every layer (RNG engine, particle filter,
@@ -341,7 +341,11 @@ TEST(ServerSnapshot, RejectsBadMagicVersionTrailerAndCount) {
   EXPECT_FALSE(b.restore(bad));
 
   bad = snap;
-  bad[4] = svc::kSnapshotVersion + 1;  // unknown version
+  bad[4] = 99;  // unknown to both codec versions (v1 f64, v2 quantized)
+  EXPECT_FALSE(b.restore(bad));
+
+  bad = snap;
+  bad[4] = svc::kSnapshotVersionQuantized;  // f64 payload relabelled v2
   EXPECT_FALSE(b.restore(bad));
 
   bad = snap;

@@ -52,7 +52,6 @@
 #include "svc/fsio.h"
 #include "svc/server.h"
 #include "svc/wire.h"
-#include "shard/migrate.h"
 #include "testing_util.h"
 
 namespace uniloc {
@@ -1272,28 +1271,6 @@ TEST(QuantizedChain, ServerWaveIsSmallerAndRequantizationStable) {
   ASSERT_TRUE(b.restore(collapsed.snapshot));
   EXPECT_EQ(b.live_sessions(), 2u);
   EXPECT_EQ(b.snapshot_wave(true), wave);
-}
-
-TEST(QuantizedChain, SplitSnapshotPreservesThePayloadVersion) {
-  svc::ServerConfig qcfg;
-  qcfg.snapshot_quantize = true;
-  std::unique_ptr<svc::LocalizationServer> a = warm_server(qcfg);
-  const svc::ChainCollapse collapsed =
-      svc::collapse_chain({a->snapshot_wave(true)});
-  ASSERT_TRUE(collapsed.ok);
-
-  // Shard recovery from a quantized chain: split the v2 snapshot and
-  // adopt every record -- each split payload must still say "v2" or the
-  // adopter would parse fixed-point bytes as f64.
-  const auto records = shard::split_snapshot_sessions(collapsed.snapshot);
-  ASSERT_EQ(records.size(), 2u);
-  svc::LocalizationServer b(svc::ServerConfig{},
-                            factory_for(campus_deployment()), nullptr);
-  for (const auto& [sid, payload] : records) {
-    EXPECT_EQ(payload[4], svc::kSnapshotVersionQuantized) << sid;
-    EXPECT_FALSE(b.adopt_session(payload, sid).has_value()) << sid;
-  }
-  EXPECT_EQ(b.live_sessions(), 2u);
 }
 
 }  // namespace

@@ -6,9 +6,7 @@
 //     vector kernel against its scalar lambda; k_nearest_memo and
 //     k_nearest_into against k_nearest on recorded campus scans; each
 //     standard scheme's update_into with the epoch context against none;
-//   * worker count: the service under seeded chaos at workers 0 and 4;
-//   * the fleet: a ShardRouter through migration churn, membership
-//     changes and whole-shard crashes serves the single server's stream.
+//   * worker count: the service under seeded chaos at workers 0 and 4.
 //
 // If an optimization ever reorders an FP sum or consumes one extra RNG
 // draw, the first diverging value is reported here, not as a mysterious
@@ -28,13 +26,11 @@
 #include "core/deployment.h"
 #include "core/runner.h"
 #include "core/trainer.h"
-#include "fault/crash.h"
 #include "fault/link.h"
 #include "fault/plan.h"
 #include "offload/bytes.h"
 #include "schemes/epoch_context.h"
 #include "schemes/pdr_scheme.h"
-#include "shard/router.h"
 #include "sim/builders.h"
 #include "sim/walker.h"
 #include "stats/rng.h"
@@ -417,9 +413,8 @@ svc::LoadGenConfig load_cfg_for(const fault::FaultPlan* plan,
   lg.resilience.record_timeline = true;
   if (plan != nullptr) {
     // The chaos schedule is a pure function of (seed, session, send
-    // index), so it hits the same frames whether `s` is one server or a
-    // whole fleet behind a router.
-    lg.make_link = [plan](svc::Endpoint& s, std::uint64_t sid) {
+    // index), so it hits the same frames at any worker count.
+    lg.make_link = [plan](svc::LocalizationServer& s, std::uint64_t sid) {
       return std::make_unique<fault::FaultyLink>(
           std::make_unique<svc::DirectLink>(&s), plan, sid);
     };
@@ -434,24 +429,6 @@ svc::LoadReport run_load_scenario(const core::Deployment& d,
   cfg.workers = workers;
   svc::LocalizationServer server(cfg, factory_for(d), nullptr);
   return run_load(server, d, load_cfg_for(plan, seed), nullptr);
-}
-
-/// Same walkers, same link chaos, but the endpoint is a ShardRouter over
-/// `shards` deterministic (workers=0) servers. `wrench` optionally throws
-/// fleet-side chaos (migrations, shard crashes) between rounds.
-svc::LoadReport run_fleet_scenario(
-    const core::Deployment& d, const fault::FaultPlan* plan,
-    std::size_t shards, std::uint64_t seed,
-    const std::function<void(shard::ShardRouter&, std::size_t)>& wrench = {}) {
-  shard::RouterConfig cfg;
-  cfg.shards = shards;
-  cfg.server.workers = 0;
-  shard::ShardRouter router(cfg, factory_for(d), nullptr);
-  svc::LoadGenConfig lg = load_cfg_for(plan, seed);
-  if (wrench) {
-    lg.on_round = [&](std::size_t round) { wrench(router, round); };
-  }
-  return run_load(router, d, lg, nullptr);
 }
 
 void expect_identical_reports(const svc::LoadReport& ref,
@@ -516,84 +493,6 @@ TEST(DifferentialSvc, ChaosSeedSweepBitIdentical) {
         run_load_scenario(d, &plan, /*workers=*/4, seed);
     expect_identical_reports(ref, pooled, "seed " + std::to_string(seed));
   }
-}
-
-// ------------------------------------------------------------------ fleet
-//
-// The sharded fleet (src/shard) claims wire transparency: a ShardRouter
-// over N workers=0 servers serves the exact epoch stream of one server,
-// through live migrations and whole-shard crashes. Held to bit-for-bit
-// here, against the single-server reference.
-
-TEST(DifferentialShard, FaultFreeFleetWithMigrationChurnBitIdentical) {
-  const core::Deployment& d = campus_deployment();
-  const svc::LoadReport ref =
-      run_load_scenario(d, nullptr, /*workers=*/0, 2024);
-  // Every session hops one shard over every round: ~23 migrations per
-  // walker over the run, none of them visible in a single reply bit.
-  const svc::LoadReport fleet = run_fleet_scenario(
-      d, nullptr, /*shards=*/3, 2024,
-      [](shard::ShardRouter& r, std::size_t) {
-        for (std::uint64_t sid = 1; sid <= 8; ++sid) {
-          r.migrate(sid, (r.shard_of(sid) + 1) % r.shard_count());
-        }
-      });
-  expect_identical_reports(ref, fleet, "fleet churn");
-}
-
-TEST(DifferentialShard, ChaosSeedSweepFleetBitIdentical) {
-  // The acceptance sweep: 32 seeds, link chaos on, a migration rotation
-  // every round -- fleet vs single server, tolerance-free.
-  const core::Deployment& d = office_deployment();
-  fault::FaultRates rates;
-  rates.drop = 0.15;
-  rates.corrupt = 0.05;
-  fault::FaultPlan plan(11, rates);
-  for (std::uint64_t seed = 100; seed < 132; ++seed) {
-    const svc::LoadReport ref =
-        run_load_scenario(d, &plan, /*workers=*/0, seed);
-    const svc::LoadReport fleet = run_fleet_scenario(
-        d, &plan, /*shards=*/3, seed,
-        [](shard::ShardRouter& r, std::size_t round) {
-          // Rotate a different third of the fleet each round.
-          for (std::uint64_t sid = 1 + round % 3; sid <= 8; sid += 3) {
-            r.migrate(sid, (r.shard_of(sid) + 1) % r.shard_count());
-          }
-        });
-    expect_identical_reports(ref, fleet, "fleet seed " + std::to_string(seed));
-  }
-}
-
-TEST(DifferentialShard, ShardCrashRecoveryBitIdenticalUnderLinkChaos) {
-  // Shard crashes and link chaos together: checkpoints every round, two
-  // scripted whole-shard losses, every session resurrected from its
-  // checkpoint on a survivor -- and the client-visible stream still
-  // matches a run where neither the fleet nor the faults existed... the
-  // faults do exist client-side, so the reference runs the same link
-  // plan against one server.
-  const core::Deployment& d = campus_deployment();
-  fault::FaultRates rates;
-  rates.drop = 0.10;
-  rates.corrupt = 0.05;
-  fault::FaultPlan link_plan(5, rates);
-
-  const svc::LoadReport ref =
-      run_load_scenario(d, &link_plan, /*workers=*/0, 3030);
-
-  fault::FaultPlan crash_plan(0, {});
-  crash_plan.script_crash(5);
-  crash_plan.script_crash(13);
-  shard::RouterConfig cfg;
-  cfg.shards = 4;
-  cfg.server.workers = 0;
-  shard::ShardRouter router(cfg, factory_for(d), nullptr);
-  fault::ShardCrashInjector injector(&router, &crash_plan, /*revive=*/true);
-  svc::LoadGenConfig lg = load_cfg_for(&link_plan, 3030);
-  lg.on_round = [&](std::size_t round) { injector.on_round(round); };
-  const svc::LoadReport fleet = run_load(router, d, lg, nullptr);
-
-  EXPECT_EQ(injector.crashes(), 2u);
-  expect_identical_reports(ref, fleet, "crash chaos fleet");
 }
 
 }  // namespace

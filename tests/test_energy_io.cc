@@ -213,9 +213,13 @@ std::string slurp(const std::string& path) {
   return os.str();
 }
 
-/// Writer -> parser identity for one row of fields.
+/// Writer -> parser identity for one row of fields. The file is named
+/// after the running test: ctest runs the callers in parallel processes.
 void expect_round_trip(const std::vector<std::string>& fields) {
-  const std::string path = "/tmp/uniloc_test_rt.csv";
+  const std::string path =
+      ::testing::TempDir() + "uniloc_rt_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".csv";
   std::vector<std::string> header(fields.size());
   for (std::size_t i = 0; i < header.size(); ++i) {
     header[i] = "c" + std::to_string(i);

@@ -163,7 +163,7 @@ struct ChaosFixture {
 
 svc::LinkFactory faulty_links(const FaultPlan* plan,
                               obs::MetricsRegistry* reg = nullptr) {
-  return [plan, reg](svc::Endpoint& server, std::uint64_t sid) {
+  return [plan, reg](svc::LocalizationServer& server, std::uint64_t sid) {
     return std::make_unique<FaultyLink>(
         std::make_unique<svc::DirectLink>(&server), plan, sid, reg);
   };
@@ -552,7 +552,7 @@ TEST(Chaos, DuplicateAndReorderKeepTheSessionAlive) {
 /// spans nest under the client's ambient attempt span.
 svc::LinkFactory traced_faulty_links(const FaultPlan* plan,
                                      obs::SpanTracer* tracer) {
-  return [plan, tracer](svc::Endpoint& server, std::uint64_t sid) {
+  return [plan, tracer](svc::LocalizationServer& server, std::uint64_t sid) {
     return std::make_unique<FaultyLink>(
         std::make_unique<svc::DirectLink>(&server), plan, sid, nullptr,
         tracer);

@@ -122,7 +122,7 @@ svc::LoadReport run_scenario(GoldenFixture& fx, const fault::FaultPlan* plan,
   lg.resilience.probe_period = 2;
   lg.resilience.record_timeline = true;
   if (plan != nullptr) {
-    lg.make_link = [plan](svc::Endpoint& s, std::uint64_t sid) {
+    lg.make_link = [plan](svc::LocalizationServer& s, std::uint64_t sid) {
       return std::make_unique<fault::FaultyLink>(
           std::make_unique<svc::DirectLink>(&s), plan, sid);
     };

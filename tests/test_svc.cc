@@ -278,11 +278,15 @@ TEST(Wire, RejectsBadVersion) {
 TEST(Wire, RejectsUnknownType) {
   Frame f;
   f.type = FrameType::kHello;
-  std::vector<std::uint8_t> bytes = encode_frame(f);
-  bytes[9] = 0x42;  // not a FrameType
-  const DecodeResult r = decode_frame(bytes);
-  EXPECT_FALSE(r.frame.has_value());
-  EXPECT_EQ(r.error, WireError::kBadType);
+  // 0x42 was never a FrameType; 5 was the retired session-transfer frame
+  // and must not decode as anything now.
+  for (const std::uint8_t type : {std::uint8_t{0x42}, std::uint8_t{5}}) {
+    std::vector<std::uint8_t> bytes = encode_frame(f);
+    bytes[9] = type;
+    const DecodeResult r = decode_frame(bytes);
+    EXPECT_FALSE(r.frame.has_value()) << "type " << int{type};
+    EXPECT_EQ(r.error, WireError::kBadType) << "type " << int{type};
+  }
 }
 
 TEST(Wire, RejectsEveryTruncation) {
@@ -572,231 +576,6 @@ TEST(Server, TtlSurvivesVirtualClockJumps) {
   EXPECT_EQ(server.evict_idle(), 1u);
   EXPECT_EQ(server.live_sessions(), 0u);
 }
-
-// ------------------------------------------------- session migration (wire)
-
-std::vector<std::uint8_t> migrate_frame(std::uint64_t sid,
-                                        std::vector<std::uint8_t> payload) {
-  Frame f;
-  f.type = FrameType::kMigrate;
-  f.session_id = sid;
-  f.payload = std::move(payload);
-  return encode_frame(f);
-}
-
-TEST(Migrate, ExtractAdoptServesIdenticalEpochs) {
-  // Walk a session to mid-walk on A, extract/adopt onto B over the
-  // kMigrate wire path, and finish the walk there: every post-move reply
-  // must be byte-identical to a control server that never migrated.
-  ServerFixture fx;
-  LocalizationServer a({}, fx.factory());
-  LocalizationServer b({}, fx.factory());
-  LocalizationServer control({}, fx.factory());
-
-  sim::WalkConfig wc;
-  wc.seed = 33;
-  sim::Walker walker(fx.office.place.get(), fx.office.radio.get(), 0, wc);
-  offload::PhoneAgent phone;
-  phone.reset(walker.start_heading());
-  const std::vector<std::uint8_t> hello =
-      hello_frame(9, walker.start_position(), walker.start_heading());
-  ASSERT_EQ(get_reply(a, hello).type, FrameType::kReply);
-  ASSERT_EQ(get_reply(control, hello).type, FrameType::kReply);
-
-  auto epoch_bytes = [&](const sim::SensorFrame& f) {
-    Frame req;
-    req.type = FrameType::kEpoch;
-    req.session_id = 9;
-    req.payload = encode_epoch(phone.reduce(f), f);
-    return encode_frame(req);
-  };
-  for (std::size_t i = 0; i < 10 && !walker.done(); ++i) {
-    const std::vector<std::uint8_t> req = epoch_bytes(walker.step(true));
-    const std::vector<std::uint8_t> ra = a.submit(req).get();
-    const std::vector<std::uint8_t> rc = control.submit(req).get();
-    ASSERT_EQ(ra, rc);
-  }
-
-  const std::optional<std::vector<std::uint8_t>> moved = a.extract_session(9);
-  ASSERT_TRUE(moved.has_value());
-  EXPECT_EQ(a.live_sessions(), 0u);
-  ASSERT_EQ(get_reply(b, migrate_frame(9, *moved)).type, FrameType::kReply);
-  EXPECT_EQ(b.live_sessions(), 1u);
-
-  for (std::size_t i = 0; i < 10 && !walker.done(); ++i) {
-    const std::vector<std::uint8_t> req = epoch_bytes(walker.step(true));
-    const std::vector<std::uint8_t> rb = b.submit(req).get();
-    const std::vector<std::uint8_t> rc = control.submit(req).get();
-    ASSERT_EQ(rb, rc) << "post-migration epoch " << i << " diverged";
-  }
-
-  // The source no longer knows the session; its bookkeeping moved along.
-  Frame epoch;
-  epoch.type = FrameType::kEpoch;
-  epoch.session_id = 9;
-  epoch.payload = encode_epoch({}, sim::SensorFrame{});
-  EXPECT_EQ(error_code(get_reply(a, encode_frame(epoch))),
-            ErrorCode::kUnknownSession);
-  EXPECT_EQ(b.status().sessions.at(0).epochs_served,
-            control.status().sessions.at(0).epochs_served);
-}
-
-TEST(Migrate, ExtractUnknownSessionIsNull) {
-  ServerFixture fx;
-  LocalizationServer a({}, fx.factory());
-  EXPECT_FALSE(a.extract_session(404).has_value());
-}
-
-TEST(Migrate, AdoptRejectsWrongAndDuplicateIds) {
-  ServerFixture fx;
-  LocalizationServer a({}, fx.factory());
-  LocalizationServer b({}, fx.factory());
-  obs::MetricsRegistry reg;
-  LocalizationServer c({}, fx.factory(), &reg);
-
-  get_reply(a, hello_frame(5, {0, 0}, 0.0));
-  const std::vector<std::uint8_t> payload = *a.extract_session(5);
-
-  // Frame routed under a different id than the record carries: hostile.
-  EXPECT_EQ(error_code(get_reply(b, migrate_frame(6, payload))),
-            ErrorCode::kMalformed);
-  EXPECT_EQ(b.live_sessions(), 0u);
-
-  // First adopt lands; a replayed kMigrate for the same id must refuse
-  // without clobbering the live session.
-  ASSERT_EQ(get_reply(c, migrate_frame(5, payload)).type, FrameType::kReply);
-  EXPECT_EQ(error_code(get_reply(c, migrate_frame(5, payload))),
-            ErrorCode::kSessionExists);
-  EXPECT_EQ(c.live_sessions(), 1u);
-  EXPECT_EQ(reg.counter("svc.malformed").value(), 0u);
-}
-
-TEST(Migrate, EveryTruncationIsRejectedCleanly) {
-  ServerFixture fx;
-  LocalizationServer a({}, fx.factory());
-  get_reply(a, hello_frame(5, {0, 0}, 0.0));
-  const std::vector<std::uint8_t> payload = *a.extract_session(5);
-
-  LocalizationServer b({}, fx.factory());
-  // Exhaustive over the framing-dense prefix, strided across the bulk
-  // (particle arrays), exhaustive again near the end -- same coverage
-  // pattern the full-snapshot fuzz uses.
-  std::vector<std::size_t> lengths;
-  for (std::size_t n = 0; n < std::min<std::size_t>(payload.size(), 96); ++n) {
-    lengths.push_back(n);
-  }
-  for (std::size_t n = 96; n + 48 < payload.size(); n += 61) {
-    lengths.push_back(n);
-  }
-  for (std::size_t n =
-           payload.size() - std::min<std::size_t>(payload.size(), 48);
-       n < payload.size(); ++n) {
-    lengths.push_back(n);
-  }
-  for (const std::size_t n : lengths) {
-    const std::vector<std::uint8_t> cut(payload.begin(), payload.begin() + n);
-    EXPECT_EQ(error_code(get_reply(b, migrate_frame(5, cut))),
-              ErrorCode::kMalformed)
-        << "truncated to " << n << " bytes";
-    EXPECT_EQ(b.live_sessions(), 0u);
-  }
-  // Trailing garbage violates the exact-length contract just as hard.
-  std::vector<std::uint8_t> padded = payload;
-  padded.push_back(0);
-  EXPECT_EQ(error_code(get_reply(b, migrate_frame(5, padded))),
-            ErrorCode::kMalformed);
-  // The intact payload still adopts after the whole fuzz barrage.
-  EXPECT_EQ(get_reply(b, migrate_frame(5, payload)).type, FrameType::kReply);
-}
-
-TEST(Migrate, BitFlipsNeverCrashTheAdopter) {
-  ServerFixture fx;
-  LocalizationServer a({}, fx.factory());
-  get_reply(a, hello_frame(5, {0, 0}, 0.0));
-  const std::vector<std::uint8_t> payload = *a.extract_session(5);
-
-  LocalizationServer b({}, fx.factory());
-  // A flip may land in a particle coordinate (adopt succeeds with a
-  // different cloud -- benign) or in framing (must reject); either way
-  // no crash, no UB, and the server keeps serving. Sessions that do
-  // adopt are extracted again so every trial starts empty.
-  std::mt19937_64 rng(13);
-  for (std::size_t trial = 0; trial < 400; ++trial) {
-    std::vector<std::uint8_t> mutated = payload;
-    const std::size_t byte = rng() % mutated.size();
-    mutated[byte] ^= static_cast<std::uint8_t>(1u << (rng() % 8));
-    const Frame reply = get_reply(b, migrate_frame(5, mutated));
-    if (reply.type == FrameType::kReply) b.extract_session(5);
-  }
-  EXPECT_EQ(get_reply(b, migrate_frame(5, payload)).type, FrameType::kReply);
-}
-
-TEST(Migrate, BadSnapshotMagicAndVersionAreRejected) {
-  ServerFixture fx;
-  LocalizationServer a({}, fx.factory());
-  get_reply(a, hello_frame(5, {0, 0}, 0.0));
-  const std::vector<std::uint8_t> payload = *a.extract_session(5);
-
-  LocalizationServer b({}, fx.factory());
-  std::vector<std::uint8_t> bad_magic = payload;
-  bad_magic[0] ^= 0xFF;
-  EXPECT_EQ(error_code(get_reply(b, migrate_frame(5, bad_magic))),
-            ErrorCode::kMalformed);
-  std::vector<std::uint8_t> bad_version = payload;
-  bad_version[4] = 99;  // unknown to both codec versions (v1 f64, v2 quantized)
-  EXPECT_EQ(error_code(get_reply(b, migrate_frame(5, bad_version))),
-            ErrorCode::kMalformed);
-  EXPECT_EQ(error_code(get_reply(b, migrate_frame(5, {}))),
-            ErrorCode::kMalformed);
-  EXPECT_EQ(b.live_sessions(), 0u);
-}
-
-TEST(Migrate, PinnedSessionSurvivesTtlScan) {
-  // The eviction-vs-migration race surface: extract_session pins before
-  // it quiesces, and a TTL sweep arriving in the pin window must skip
-  // the session -- otherwise the sweep could evict it mid-serialization,
-  // the client would re-hello a fresh twin on the source, and the fleet
-  // would end up with two divergent copies of one session id.
-  SessionManager mgr(4);
-  const SessionPtr pinned = mgr.create(1, nullptr, 0);
-  const SessionPtr idle_twin = mgr.create(2, nullptr, 0);
-  ASSERT_NE(pinned, nullptr);
-  ASSERT_NE(idle_twin, nullptr);
-  pinned->set_pinned(true);
-
-  // Both sessions are idle and eons past the TTL; only the twin goes.
-  EXPECT_EQ(mgr.evict_idle(/*now_us=*/5'000'000, /*ttl_us=*/1'000'000), 1u);
-  EXPECT_NE(mgr.find(1), nullptr);
-  EXPECT_EQ(mgr.find(2), nullptr);
-
-  // Unpinning re-arms normal eviction (a rolled-back migration).
-  pinned->set_pinned(false);
-  EXPECT_EQ(mgr.evict_idle(5'000'000, 1'000'000), 1u);
-  EXPECT_EQ(mgr.size(), 0u);
-}
-
-TEST(Migrate, ExtractedSessionEpochGetsUnknownSessionThenRehello) {
-  // A client whose session was just extracted (mid-migration) and whose
-  // frame reaches the *source server* directly sees kUnknownSession --
-  // the standard re-hello reconcile signal, identical to eviction.
-  ServerFixture fx;
-  LocalizationServer a({}, fx.factory());
-  get_reply(a, hello_frame(4, {0, 0}, 0.0));
-  ASSERT_TRUE(a.extract_session(4).has_value());
-
-  Frame epoch;
-  epoch.type = FrameType::kEpoch;
-  epoch.session_id = 4;
-  epoch.payload = encode_epoch({}, sim::SensorFrame{});
-  EXPECT_EQ(error_code(get_reply(a, encode_frame(epoch))),
-            ErrorCode::kUnknownSession);
-  // The re-hello opens a fresh session under the same id.
-  EXPECT_EQ(get_reply(a, hello_frame(4, {0, 0}, 0.0)).type,
-            FrameType::kReply);
-  EXPECT_EQ(a.live_sessions(), 1u);
-}
-
-// ----------------------------------------------------- loadgen + determinism
 
 // ----------------------------------------------------- loadgen + determinism
 
@@ -1101,8 +880,7 @@ TEST(Server, EpochSpanTreeIsRootedAndComplete) {
     }
     EXPECT_EQ(svc_children,
               (std::set<std::string>{"svc.queue_wait", "svc.decode",
-                                     "svc.locate", "svc.net",
-                                     "svc.encode"}));
+                                     "svc.locate", "svc.encode"}));
     // One span per registered scheme plus the fusion span.
     EXPECT_EQ(core_names.count("core.fuse"), 1u);
     EXPECT_GE(core_names.size(), 2u);
