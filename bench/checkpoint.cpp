@@ -3,31 +3,35 @@
 // A LocalizationServer carrying N warm sessions (N in {1, 8, 32, 128},
 // round-robin over the eight campus paths, a few epochs of traffic each
 // so particle clouds and calibrators hold real state) is snapshotted
-// repeatedly. Reported per N:
+// repeatedly. A snapshot is one lossless keyframe wave (svc/delta.h).
+// Reported per N:
 //
 //   snapshot_p50/p99_us   full-population snapshot latency (quiesce is
 //                         free here: workers == 0, every session idle)
 //   bytes_per_session     snapshot size divided by N (the per-phone
 //                         checkpoint footprint; dominated by the two
-//                         particle filters at ~600 doubles each)
+//                         particle filters at ~600 doubles each). Each
+//                         session costs its 28 B record header and its
+//                         8 B member id on top of the payload, and each
+//                         wave 43 B of fixed framing (header, the two
+//                         counts and the CRC).
 //   restore_us            one cold restore of the final snapshot
 //
 // Headline: bytes/session is flat in N (the format has no cross-session
-// state) and snapshot latency is linear in N.
+// state beyond the fixed framing) and snapshot latency is linear in N.
 //
 // Delta section (ISSUE 10): the same warm population checkpointed
 // through the wave chain -- full lossless keyframes vs quantized delta
 // waves where only the sessions that advanced since the previous wave
 // carry a record. Reported: bytes/session for each mode and the
-// reduction factor (acceptance floor: >= 4x), plus a collapse_chain
-// restore of the measured chain to prove the cheap waves are the real
-// durable artifact and not a trimmed imitation.
+// reduction factor (acceptance floor: >= 4x), plus a restore of the
+// measured chain to prove the cheap waves are the real durable artifact
+// and not a trimmed imitation.
 #include <chrono>
 #include <cstdio>
 #include <memory>
 
 #include "bench_util.h"
-#include "svc/delta.h"
 #include "svc/epoch_codec.h"
 #include "svc/loadgen.h"
 #include "svc/server.h"
@@ -88,20 +92,20 @@ int main() {
     }
 
     std::vector<double> latencies;
-    std::vector<std::uint8_t> snap;
+    std::vector<std::vector<std::uint8_t>> snap(1);
     for (std::size_t rep = 0; rep < kSnapshotReps; ++rep) {
       const double t0 = now_us();
-      snap = server.snapshot();
+      snap[0] = server.snapshot();
       latencies.push_back(now_us() - t0);
     }
     const double p50 = stats::percentile(latencies, 50.0);
     const double p99 = stats::percentile(latencies, 99.0);
-    const double per_session =
-        static_cast<double>(snap.size()) / static_cast<double>(n);
+    const double snap_bytes = static_cast<double>(snap[0].size());
+    const double per_session = snap_bytes / static_cast<double>(n);
 
     svc::LocalizationServer cold(svc::ServerConfig{}, factory, nullptr);
     const double r0 = now_us();
-    const bool ok = cold.restore(snap);
+    const bool ok = cold.restore(snap).ok;
     const double restore_us = now_us() - r0;
     if (!ok || cold.live_sessions() != n) {
       std::fprintf(stderr, "restore failed at n=%zu\n", n);
@@ -112,8 +116,7 @@ int main() {
                    io::Table::num(p50, 1), io::Table::num(p99, 1),
                    io::Table::num(restore_us, 1)});
     const std::string prefix = "n" + std::to_string(n) + "_";
-    report.add_scalar(prefix + "snapshot_bytes",
-                      static_cast<double>(snap.size()));
+    report.add_scalar(prefix + "snapshot_bytes", snap_bytes);
     report.add_scalar(prefix + "bytes_per_session", per_session);
     report.add_scalar(prefix + "snapshot_p50_us", p50);
     report.add_scalar(prefix + "snapshot_p99_us", p99);
@@ -186,12 +189,12 @@ int main() {
         static_cast<double>(kDeltaRounds * kDeltaSessions);
     const double reduction = keyframe_per_session / delta_per_session;
 
-    // The cheap waves must still be the durable artifact: collapse the
-    // measured chain and restore a cold server from it.
-    const svc::ChainCollapse collapsed = svc::collapse_chain(chain);
+    // The cheap waves must still be the durable artifact: restore a
+    // cold server from the measured chain.
     svc::LocalizationServer cold(qcfg, factory, nullptr);
-    if (!collapsed.ok || collapsed.waves_rejected != 0 ||
-        !cold.restore(collapsed.snapshot) ||
+    const svc::LocalizationServer::ChainRestoreResult restored =
+        cold.restore(chain);
+    if (!restored.ok || restored.waves_rejected != 0 ||
         cold.live_sessions() != kDeltaSessions) {
       std::fprintf(stderr, "delta chain restore failed\n");
       return 1;

@@ -33,8 +33,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <optional>
 #include <string>
+#include <system_error>
 
 #include "core/cold_start.h"
 #include "core/runner.h"
@@ -48,7 +50,6 @@
 #include "obs/trace.h"
 #include "sim/trace_io.h"
 #include "stats/descriptive.h"
-#include "svc/checkpoint.h"
 #include "svc/committer.h"
 #include "svc/loadgen.h"
 #include "svc/server.h"
@@ -231,10 +232,10 @@ struct ServeSimOptions {
   std::uint64_t seed{2024};
   std::string faults;  ///< Empty: perfect wire.
   /// Empty: no checkpointing. Otherwise the server persists a wave
-  /// chain into <dir> (quantized keyframe + delta waves, published
-  /// atomically by an async group committer), restores from any chain
-  /// already there at startup, and flushes a final wave when the run
-  /// drains.
+  /// chain into <dir>, created with its parents if missing (quantized
+  /// keyframe + delta waves, published atomically by an async group
+  /// committer), restores from any chain already there at startup, and
+  /// flushes a final wave when the run drains.
   std::string checkpoint_dir;
   bool metrics{false};
   /// Query the server's kStatus admin frame when the run drains and
@@ -327,6 +328,13 @@ int cmd_serve_sim(const ServeSimOptions& sopts) {
   // final wave may still sit in its queue when the server destructs.
   std::unique_ptr<svc::GroupCommitter> committer;
   if (!sopts.checkpoint_dir.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(sopts.checkpoint_dir, ec);
+    if (ec) {
+      std::fprintf(stderr, "error: cannot create %s: %s\n",
+                   sopts.checkpoint_dir.c_str(), ec.message().c_str());
+      return 1;
+    }
     committer = std::make_unique<svc::GroupCommitter>();
     cfg.checkpoint_period_us = 1'000'000;  // wall-clock second
     cfg.checkpoint_dir = sopts.checkpoint_dir;
@@ -371,6 +379,7 @@ int cmd_serve_sim(const ServeSimOptions& sopts) {
     };
   }
   const svc::LoadReport report = svc::run_load(server, d, lg, &registry);
+  std::uint64_t publish_failures = 0;
   if (!sopts.checkpoint_dir.empty()) {
     // One final wave so the chain reflects the drained end state, then
     // drain the committer before reporting.
@@ -378,6 +387,7 @@ int cmd_serve_sim(const ServeSimOptions& sopts) {
     committer->flush();
     const svc::LocalizationServer::CheckpointStats cs =
         server.checkpoint_stats();
+    publish_failures = cs.publish_failures;
     std::printf("wrote %llu waves (%llu keyframes, %llu delta records, "
                 "%llu publish failures) to %s\n",
                 static_cast<unsigned long long>(cs.waves),
@@ -470,8 +480,9 @@ int cmd_serve_sim(const ServeSimOptions& sopts) {
                 registry.to_table().to_string().c_str());
   }
   // With faults on, recovered errors (e.g. corrupted frames the server
-  // rejected and the phone retransmitted) are the expected outcome.
-  return (chaos || report.error_total == 0) ? 0 : 1;
+  // rejected and the phone retransmitted) are the expected outcome. A
+  // wave that failed to publish is not: the chain on disk lags the run.
+  return (chaos || report.error_total == 0) && publish_failures == 0 ? 0 : 1;
 }
 
 int usage() {
@@ -491,10 +502,12 @@ int usage() {
                "      <plan>: drop=P,dup=P,reorder=P,corrupt=P,delay_ms=D,\n"
                "              jitter_ms=J,seed=S,blackout=a:b[,...]\n"
                "      --checkpoint-dir: persist a delta wave chain into\n"
-               "              <dir> every second (quantized keyframe +\n"
-               "              delta waves, async group commit), restore\n"
-               "              any chain found there at startup, and flush\n"
-               "              a final wave when the run drains\n"
+               "              <dir> (created if missing) every second\n"
+               "              (quantized keyframe + delta waves, async\n"
+               "              group commit), restore any chain found there\n"
+               "              at startup, and flush a final wave when the\n"
+               "              run drains; exits 1 if a wave failed to\n"
+               "              publish\n"
                "      --statusz: print the server's kStatus dump (JSON and\n"
                "              Prometheus text) when the run drains\n"
                "      --trace-spans: stream causal spans as JSONL (convert\n"

@@ -132,10 +132,12 @@ if [[ "${ASAN:-1}" != "0" ]]; then
   # sessions through one arena, where a stale read would hide.
   cmake --build "$ASAN_DIR" -j "$JOBS" --target test_perf_contracts
   ctest --test-dir "$ASAN_DIR" -R "$ARENA_TESTS" --output-on-failure -j "$JOBS"
-  # Crash-recovery gate: the checkpoint suite (snapshot codec round
-  # trips, kProcessCrash chaos, truncated/bit-flipped snapshot fuzz)
-  # must be clean under ASan+UBSan -- restore() is the server's hostile
-  # deserialization boundary, exactly where OOB reads would hide.
+  # Crash-recovery gate: the checkpoint suite (codec round trips, the
+  # crash-recovery differential, and the snapshot fuzz: record payloads
+  # cut or bit-flipped and re-sealed behind a valid CRC, so the damage
+  # reaches Uniloc::restore_from) must be clean under ASan+UBSan --
+  # restore() is the server's hostile deserialization boundary, exactly
+  # where OOB reads would hide.
   cmake --build "$ASAN_DIR" -j "$JOBS" --target test_checkpoint
   ctest --test-dir "$ASAN_DIR" -L '^checkpoint$' --output-on-failure -j "$JOBS"
   # Chaos-with-tracing gate: the chaos suite includes fault.trace_*
@@ -191,3 +193,20 @@ if [[ "${SOAK:-1}" != "0" ]]; then
   (cd "$BUILD_DIR" && UNILOC_SOAK_WALKERS=2000 UNILOC_SOAK_ROUNDS=6 \
     bench/soak)
 fi
+
+# Checkpoint-directory smoke: serve-sim must create a --checkpoint-dir
+# that does not exist yet (parents included), publish every wave into it
+# (it exits nonzero on a failed publish), and a second run must restore
+# that chain with no wave rejected.
+CKPT_TMP="$(mktemp -d)"
+CKPT_DIR="$CKPT_TMP/absent/chain"
+serve_sim() {
+  "$BUILD_DIR/examples/uniloc_cli" serve-sim --walkers 3 --epochs 6 \
+    --checkpoint-dir "$CKPT_DIR"
+}
+out="$(serve_sim)"
+grep -q ' 0 publish failures) ' <<< "$out"
+compgen -G "$CKPT_DIR/wave-*.bin" > /dev/null
+out="$(serve_sim)"
+grep -qE '^restored .* 0 waves rejected\)' <<< "$out"
+rm -rf "$CKPT_TMP"

@@ -120,10 +120,10 @@ class Uniloc {
 
   /// Serialize all persistent mutable state -- the duty-cycle flag, the
   /// location predictor, and every scheme's state (name-tagged and
-  /// length-prefixed) -- for a session checkpoint (svc/checkpoint.h).
-  /// `quantize` selects the fixed-point particle codec (checkpoint format
-  /// v2), with the venue grid taken from this framework's Place bounds
-  /// (schemes::SnapshotContext); false is the lossless format v1.
+  /// length-prefixed) -- for a session checkpoint (svc/delta.h).
+  /// `quantize` selects the fixed-point particle codec (wave payload
+  /// version 2), with the venue grid taken from this framework's Place
+  /// bounds (schemes::SnapshotContext); false is the lossless version 1.
   void snapshot_into(offload::ByteWriter& w, bool quantize) const;
   /// Restore into a framework built with the same configuration, scheme
   /// list and seeds as the snapshotted one (the service rebuilds it via

@@ -2,13 +2,23 @@
 //
 // The injector models a server that checkpoints after every round of
 // traffic and, at rounds scripted via FaultPlan::script_crash, dies and
-// restarts from its latest checkpoint: all in-RAM session state is lost
-// (LocalizationServer::crash) and rebuilt from the snapshot
-// (LocalizationServer::restore). Because a snapshot captures the complete
-// per-session state -- particle clouds, RNG engines, calibrators, the
-// duty-cycle flag and the session bookkeeping -- a crashed-and-restored
-// run must serve the exact epoch stream of an uninterrupted one
-// (tests/test_checkpoint.cc pins this bit for bit).
+// restarts from its checkpoints: all in-RAM session state is lost
+// (LocalizationServer::crash) and rebuilt from the retained waves
+// (LocalizationServer::restore). Every round appends one wave
+// (svc/delta.h) to an in-RAM chain: a keyframe whenever the chain is
+// empty or `keyframe_interval` waves have accumulated (a keyframe
+// supersedes and drops everything before it, mirroring
+// prune_wave_files), a delta of the dirty sessions otherwise. Because a
+// wave captures the complete per-session state -- particle clouds, RNG
+// engines, calibrators, the duty-cycle flag and the session bookkeeping
+// -- a crashed-and-restored run must serve the exact epoch stream of an
+// uninterrupted one: with a keyframe every round (interval 1, proptest
+// invariant I5, tests/test_checkpoint.cc) and with deltas that carry
+// only the sessions that advanced (proptest I9, which thereby pins dirty
+// tracking, membership pruning and the overlay). Any wave the restore
+// rejects is OUR OWN torn write and counts as a restore failure. The
+// server must write lossless waves (ServerConfig::snapshot_quantize
+// off): bit identity depends on it.
 //
 // Wire into the load generator:
 //
@@ -28,8 +38,11 @@ namespace uniloc::fault {
 class CrashInjector {
  public:
   /// Both pointers must outlive the injector.
-  CrashInjector(svc::LocalizationServer* server, const FaultPlan* plan)
-      : server_(server), plan_(plan) {}
+  CrashInjector(svc::LocalizationServer* server, const FaultPlan* plan,
+                std::size_t keyframe_interval = 1)
+      : server_(server),
+        plan_(plan),
+        keyframe_interval_(keyframe_interval == 0 ? 1 : keyframe_interval) {}
 
   /// Attach a flight recorder (obs/flight_recorder.h) for post-mortems:
   /// every scripted crash records a kCrash event (session 0 = the server
@@ -44,73 +57,28 @@ class CrashInjector {
     dump_dir_ = std::move(dump_dir);
   }
 
-  /// Checkpoint the server; then, if `round` is scripted to crash, kill
-  /// and restore it. Call from LoadGenConfig::on_round (all sessions are
-  /// idle there, so the snapshot is a clean between-rounds cut).
+  /// Append this round's wave; then, if `round` is scripted to crash,
+  /// kill and restore the server. Call from LoadGenConfig::on_round (all
+  /// sessions are idle there, so the wave is a clean between-rounds cut).
   void on_round(std::size_t round);
 
-  std::size_t checkpoints() const { return checkpoints_; }
   std::size_t crashes() const { return crashes_; }
-  /// Restores that failed (should stay 0: our own snapshots are valid).
+  /// Restores that failed or rejected one of our own waves (must stay 0).
   std::size_t restore_failures() const { return restore_failures_; }
   /// Flight-dump files written so far, in write order.
   const std::vector<std::string>& flight_dumps() const { return dumps_; }
 
  private:
-  svc::LocalizationServer* server_;
-  const FaultPlan* plan_;
-  obs::FlightRecorder* flight_{nullptr};
-  std::string dump_dir_;
-  std::vector<std::string> dumps_;
-  std::vector<std::uint8_t> last_checkpoint_;
-  std::size_t checkpoints_{0};
-  std::size_t crashes_{0};
-  std::size_t restore_failures_{0};
-};
+  void dump_flight(const std::string& what, std::size_t round);
 
-/// Delta-chain crash injection (svc/delta.h): the durable-checkpoint
-/// analogue of CrashInjector. Every round the injector appends one wave
-/// to an in-RAM chain -- a keyframe whenever the chain is empty or
-/// `keyframe_interval` deltas have accumulated (a keyframe supersedes and
-/// drops everything before it, mirroring prune_wave_files), a delta of
-/// the dirty sessions otherwise. At scripted crash rounds the server
-/// dies and is rebuilt from collapse_chain() over the retained waves.
-/// Because deltas only carry sessions that advanced, this pins the whole
-/// dirty-tracking + membership-pruning + overlay pipeline: the collapsed
-/// restore must reproduce the uninterrupted epoch stream bit for bit
-/// (proptest invariant I9). Any wave the collapse rejects is OUR OWN
-/// torn write and counts as a restore failure.
-class ChainCrashInjector {
- public:
-  /// Both pointers must outlive the injector.
-  ChainCrashInjector(svc::LocalizationServer* server, const FaultPlan* plan,
-                     std::size_t keyframe_interval = 4)
-      : server_(server),
-        plan_(plan),
-        keyframe_interval_(keyframe_interval == 0 ? 1 : keyframe_interval) {}
-
-  /// Call from LoadGenConfig::on_round (all sessions idle between
-  /// rounds, so the wave is a clean cut).
-  void on_round(std::size_t round);
-
-  std::size_t waves() const { return waves_; }
-  std::size_t keyframes() const { return keyframes_; }
-  std::size_t crashes() const { return crashes_; }
-  /// Deltas collapse_chain applied across every restore performed.
-  std::size_t deltas_applied() const { return deltas_applied_; }
-  /// Restores that failed or rejected one of our own waves (must stay 0).
-  std::size_t restore_failures() const { return restore_failures_; }
-
- private:
   svc::LocalizationServer* server_;
   const FaultPlan* plan_;
   std::size_t keyframe_interval_;
+  obs::FlightRecorder* flight_{nullptr};
+  std::string dump_dir_;
+  std::vector<std::string> dumps_;
   std::vector<std::vector<std::uint8_t>> chain_;
-  std::size_t since_keyframe_{0};
-  std::size_t waves_{0};
-  std::size_t keyframes_{0};
   std::size_t crashes_{0};
-  std::size_t deltas_applied_{0};
   std::size_t restore_failures_{0};
 };
 

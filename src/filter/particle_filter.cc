@@ -288,7 +288,7 @@ bool ParticleFilter::restore_from(offload::ByteReader& r) {
 
 namespace {
 
-// --- Quantized codec (checkpoint format v2) ---------------------------
+// --- Quantized codec (wave payload version 2) -------------------------
 //
 // Fixed-point u16 grids. The dequantizer places every value exactly on a
 // grid point and the quantizer rounds to nearest, so a dequantized value

@@ -179,7 +179,7 @@ class ParticleFilter {
   /// count that does not match this filter's, or a corrupt engine state.
   bool restore_from(offload::ByteReader& r);
 
-  /// Quantized snapshot codec (checkpoint format v2): positions as u16
+  /// Quantized snapshot codec (wave payload version 2): positions as u16
   /// fixed-point per axis over `venue` (inflated by a fixed margin so
   /// strayed particles stay on the grid), headings as u16 over (-pi, pi],
   /// step scales as u16 over [0.25, 4], weights as u16 relative to the

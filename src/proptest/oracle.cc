@@ -125,12 +125,10 @@ class CaseRunner {
   /// every pass, so the differential passes compare apples to apples.
   svc::LoadGenConfig load_config(const obs::Counter* up);
 
-  /// Which crash machinery (if any) rides along with a single-server
-  /// pass: monolithic snapshot/restore (I5) or keyframe+delta chain
-  /// collapse (I9).
-  enum class Injector { kNone, kSnapshot, kChain };
-
-  PassResult run_single(int workers, Injector injector,
+  /// A single-server pass. `keyframe_interval` > 0 runs the crash
+  /// injector with that interval: 1 checkpoints a keyframe every round
+  /// (I5), 4 a keyframe+delta chain (I9); 0 runs no crashes.
+  PassResult run_single(int workers, std::size_t keyframe_interval,
                         const std::string& label);
 
   void check_report(const PassResult& pass);
@@ -212,7 +210,7 @@ svc::LoadGenConfig CaseRunner::load_config(const obs::Counter* up) {
   return lg;
 }
 
-PassResult CaseRunner::run_single(int workers, Injector injector,
+PassResult CaseRunner::run_single(int workers, std::size_t keyframe_interval,
                                   const std::string& label) {
   obs::MetricsRegistry reg;
   svc::ServerConfig scfg;
@@ -226,29 +224,18 @@ PassResult CaseRunner::run_single(int workers, Injector injector,
   const obs::Counter* up = &reg.counter("offload.uplink_bytes");
   svc::LoadGenConfig lg = load_config(up);
 
-  fault::CrashInjector snap_injector(&server, &plan_);
-  fault::ChainCrashInjector chain_injector(&server, &plan_);
-  if (injector == Injector::kSnapshot) {
-    lg.on_round = [&snap_injector](std::size_t round) {
-      snap_injector.on_round(round);
-    };
-  } else if (injector == Injector::kChain) {
-    lg.on_round = [&chain_injector](std::size_t round) {
-      chain_injector.on_round(round);
-    };
+  fault::CrashInjector injector(&server, &plan_, keyframe_interval);
+  if (keyframe_interval > 0) {
+    lg.on_round = [&injector](std::size_t round) { injector.on_round(round); };
   }
 
   PassResult pass;
   pass.report = run_load(server, deployment_, lg, &reg);
   pass.uplink_counter = up->value();
-  if (injector == Injector::kSnapshot &&
-      snap_injector.restore_failures() > 0) {
-    violation("I5: " + std::to_string(snap_injector.restore_failures()) +
-              " restore(s) of our own snapshot failed");
-  }
-  if (injector == Injector::kChain && chain_injector.restore_failures() > 0) {
-    violation("I9: " + std::to_string(chain_injector.restore_failures()) +
-              " collapse-restore(s) of our own delta chain failed");
+  if (injector.restore_failures() > 0) {
+    violation((keyframe_interval == 1 ? "I5: " : "I9: ") +
+              std::to_string(injector.restore_failures()) +
+              " restore(s) of our own checkpoint waves failed");
   }
   return pass;
 }
@@ -373,27 +360,25 @@ void CaseRunner::compare_passes(const PassResult& ref, const PassResult& other,
 Verdict CaseRunner::run(const OracleOptions& opts) {
   // Base pass: one server, deterministic inline mode, no crashes. Every
   // differential pass below must reproduce its stream bit for bit.
-  const PassResult ref = run_single(/*workers=*/0, Injector::kNone, "base");
+  const PassResult ref = run_single(/*workers=*/0, 0, "base");
   check_report(ref);
 
   if (opts.check_crash_restore && spec_.crash_restore &&
       !spec_.faults.crash_rounds.empty()) {
-    compare_passes(ref,
-                   run_single(/*workers=*/0, Injector::kSnapshot, "crash"),
+    compare_passes(ref, run_single(/*workers=*/0, 1, "crash"),
                    "I5 (crash/restore)");
   }
 
   if (opts.check_delta_chain && spec_.delta_chain &&
       !spec_.faults.crash_rounds.empty()) {
-    compare_passes(ref,
-                   run_single(/*workers=*/0, Injector::kChain, "chain"),
+    compare_passes(ref, run_single(/*workers=*/0, 4, "chain"),
                    "I9 (delta chain)");
   }
 
   if (opts.check_workers && spec_.workers > 0) {
     compare_passes(ref,
-                   run_single(static_cast<int>(spec_.workers),
-                              Injector::kNone, "workers"),
+                   run_single(static_cast<int>(spec_.workers), 0,
+                              "workers"),
                    "I6 (workers)");
   }
 
@@ -401,7 +386,7 @@ Verdict CaseRunner::run(const OracleOptions& opts) {
     // I8: force the scalar kernels. The base pass above ran with SIMD
     // on, so equality pins scalar == vector.
     const stats::ScopedSimd scalar_only(false);
-    compare_passes(ref, run_single(/*workers=*/0, Injector::kNone, "scalar"),
+    compare_passes(ref, run_single(/*workers=*/0, 0, "scalar"),
                    "I8 (scalar)");
   }
 

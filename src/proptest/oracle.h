@@ -16,18 +16,18 @@
 //       and the registry agrees with the report.
 //   I4  Every submitted epoch is answered: accepted, served locally, or
 //       explicitly errored/backpressured -- never silently lost.
-//   I5  checkpoint/restore is invisible: a run crashed and restored at
-//       the scheduled rounds is bit-identical to the undisturbed run.
+//   I5  checkpoint/restore is invisible: a run that checkpoints a
+//       keyframe wave every round and is crashed and restored at the
+//       scheduled rounds is bit-identical to the undisturbed run.
 //   I6  Worker count is invisible: workers-N == workers-0, bit for bit.
 //   I8  Vectorization is invisible: a pass with the SIMD kernels forced
 //       OFF (stats::ScopedSimd) reproduces the base pass -- which runs
 //       with the kernels ON -- bit for bit, NaN-aware like every pass
 //       comparison.
-//   I9  Delta-chain durability is invisible: a run that checkpoints via
-//       keyframe+delta waves (dirty sessions only) and restores every
-//       scripted crash through collapse_chain is bit-identical to the
-//       undisturbed run, and the collapse never rejects a wave the
-//       server itself wrote.
+//   I9  Delta-chain durability is invisible: the I5 pass with a
+//       keyframe only every fourth wave and deltas of the dirty sessions
+//       in between is bit-identical to the undisturbed run. In both, a
+//       restore never rejects a wave the server itself wrote.
 //
 // Violations come back as strings (the engine is gtest-free); each
 // carries enough context to read the failure without rerunning it.

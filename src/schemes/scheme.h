@@ -32,14 +32,14 @@ namespace uniloc::schemes {
 
 struct EpochContext;  // schemes/epoch_context.h
 
-/// Codec selection for scheme snapshots, threaded from the checkpoint
-/// format version (svc/checkpoint.h). `quantize` selects the fixed-point
-/// particle codec (format v2); `venue` supplies its position grid and
+/// Codec selection for scheme snapshots, threaded from the wave payload
+/// version (svc/delta.h). `quantize` selects the fixed-point particle
+/// codec (payload version 2); `venue` supplies its position grid and
 /// must be identical between the snapshot and any later re-snapshot of
 /// the restored state (the server passes the session's Place bounds,
 /// which are immutable for a session's lifetime). The default context
-/// selects the lossless f64 codec (format v1) -- the only one permitted
-/// for crash/restore bit-identity.
+/// selects the lossless f64 codec (payload version 1) -- the only one
+/// permitted for crash/restore bit-identity.
 struct SnapshotContext {
   bool quantize{false};
   geo::BBox venue;

@@ -4,13 +4,28 @@
 #include <cassert>
 #include <cstdio>
 #include <filesystem>
-#include <map>
 #include <optional>
 #include <system_error>
 
 #include "offload/crc32.h"
 
 namespace uniloc::svc {
+
+namespace {
+
+/// Consume one record header and validate `payload_len` against the
+/// remaining buffer; on success the reader is positioned at the first
+/// byte of the core::Uniloc payload.
+bool read_session_record_header(offload::ByteReader& r,
+                                SessionRecordHeader& out) {
+  if (!r.get_u64(out.id) || !r.get_u64(out.last_active_us) ||
+      !r.get_u64(out.epochs_served) || !r.get_u32(out.payload_len)) {
+    return false;
+  }
+  return out.payload_len <= r.remaining();
+}
+
+}  // namespace
 
 WaveBuilder::WaveBuilder(const WaveHeader& header,
                          const std::vector<std::uint64_t>& members) {
@@ -83,8 +98,8 @@ bool decode_wave(const std::vector<std::uint8_t>& bytes, WaveView& out) {
     return false;
   }
   if (!r.get_u8(h.payload_version) ||
-      (h.payload_version != kSnapshotVersion &&
-       h.payload_version != kSnapshotVersionQuantized)) {
+      (h.payload_version != kPayloadLossless &&
+       h.payload_version != kPayloadQuantized)) {
     return false;
   }
   if (!r.get_u64(h.seq) || !r.get_u64(h.parent_seq) ||
@@ -97,7 +112,7 @@ bool decode_wave(const std::vector<std::uint8_t>& bytes, WaveView& out) {
   }
 
   std::uint32_t member_count;
-  if (!r.get_u32(member_count) || member_count > kMaxSnapshotSessions ||
+  if (!r.get_u32(member_count) || member_count > kMaxWaveSessions ||
       static_cast<std::uint64_t>(member_count) * 8 > r.remaining()) {
     return false;
   }
@@ -158,68 +173,45 @@ ChainCollapse collapse_chain(
   }
   if (kf == views.size()) return out;  // ok stays false: no keyframe
 
-  struct Slot {
-    SessionRecordHeader h;
-    const std::uint8_t* payload;
-  };
-  std::map<std::uint64_t, Slot> state;
-  const WaveView& kv = *views[kf];
-  for (const WaveView::Record& rec : kv.records) {
-    state[rec.h.id] = {rec.h, rec.payload};
-  }
-  std::uint64_t prev_seq = kv.header.seq;
-  const std::uint8_t payload_version = kv.header.payload_version;
-  std::uint64_t accepted = kv.header.accepted_since_scan;
+  WaveView& kv = *views[kf];
+  out.seq = kv.header.seq;
+  out.payload_version = kv.header.payload_version;
+  out.accepted_since_scan = kv.header.accepted_since_scan;
+  out.records = std::move(kv.records);
   bool broken = false;
   for (std::size_t i = kf + 1; i < views.size(); ++i) {
     if (!views[i].has_value()) continue;  // already counted as rejected
-    if (broken) {
-      // A broken link cuts the chain: later deltas would overlay fresh
-      // records onto state that is missing the intermediate updates.
-      ++out.waves_rejected;
-      continue;
-    }
     const WaveView& dv = *views[i];
-    if (dv.header.kind != kWaveDelta || dv.header.parent_seq != prev_seq ||
-        dv.header.payload_version != payload_version) {
+    // A broken link cuts the chain: later deltas would overlay fresh
+    // records onto state that is missing the intermediate updates.
+    if (broken || dv.header.kind != kWaveDelta ||
+        dv.header.parent_seq != out.seq ||
+        dv.header.payload_version != out.payload_version) {
       broken = true;
       ++out.waves_rejected;
       continue;
     }
-    // Membership is authoritative: departures are ids that vanished.
-    std::erase_if(state, [&dv](const auto& kvp) {
-      return !std::binary_search(dv.members.begin(), dv.members.end(),
-                                 kvp.first);
-    });
-    for (const WaveView::Record& rec : dv.records) {
-      state[rec.h.id] = {rec.h, rec.payload};
+    // Membership is authoritative: an id absent from it departed, and a
+    // record replaces the session's previous one. Members, records and
+    // the state are all id-ascending, so one merge pass does both.
+    std::vector<WaveView::Record> next;
+    next.reserve(dv.members.size());
+    auto prev = out.records.cbegin();
+    auto rec = dv.records.cbegin();
+    for (const std::uint64_t id : dv.members) {
+      while (prev != out.records.cend() && prev->h.id < id) ++prev;
+      if (rec != dv.records.cend() && rec->h.id == id) {
+        next.push_back(*rec++);
+      } else if (prev != out.records.cend() && prev->h.id == id) {
+        next.push_back(*prev);
+      }
     }
-    if (state.size() > kMaxSnapshotSessions) {
-      broken = true;
-      ++out.waves_rejected;
-      continue;
-    }
-    prev_seq = dv.header.seq;
-    accepted = dv.header.accepted_since_scan;
+    out.records = std::move(next);
+    out.seq = dv.header.seq;
+    out.accepted_since_scan = dv.header.accepted_since_scan;
     ++out.deltas_applied;
   }
-
-  // Emit the collapsed population as one standard UCKP snapshot in the
-  // chain's payload version; the server restore path handles the rest.
-  offload::ByteWriter w;
-  write_snapshot_header(w, payload_version);
-  w.put_u64(accepted);
-  w.put_u32(static_cast<std::uint32_t>(state.size()));
-  for (const auto& [id, slot] : state) {
-    w.put_u64(slot.h.id);
-    w.put_u64(slot.h.last_active_us);
-    w.put_u64(slot.h.epochs_served);
-    w.put_u32(slot.h.payload_len);
-    w.put_bytes(slot.payload, slot.h.payload_len);
-  }
   out.ok = true;
-  out.seq = prev_seq;
-  out.snapshot = w.take();
   return out;
 }
 
@@ -253,7 +245,7 @@ std::optional<std::vector<std::uint8_t>> read_file_bytes(
   if (f == nullptr) return std::nullopt;
   long size = -1;
   if (std::fseek(f, 0, SEEK_END) == 0) size = std::ftell(f);
-  if (size < 0 || static_cast<std::uint64_t>(size) > kMaxCheckpointFileBytes ||
+  if (size < 0 || static_cast<std::uint64_t>(size) > kMaxWaveFileBytes ||
       std::fseek(f, 0, SEEK_SET) != 0) {
     std::fclose(f);
     return std::nullopt;
@@ -297,10 +289,14 @@ bool write_wave_file(const std::string& dir, std::uint64_t seq,
 }
 
 std::vector<std::vector<std::uint8_t>> load_wave_files(
-    const std::string& dir) {
+    const std::string& dir, std::uint64_t* newest_seq) {
   std::vector<std::vector<std::uint8_t>> out;
-  for (const auto& [seq, path] : list_wave_paths(dir)) {
+  const auto paths = list_wave_paths(dir);
+  for (const auto& [seq, path] : paths) {
     if (auto bytes = read_file_bytes(path)) out.push_back(std::move(*bytes));
+  }
+  if (newest_seq != nullptr) {
+    *newest_seq = paths.empty() ? 0 : paths.back().first;
   }
   return out;
 }

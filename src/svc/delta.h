@@ -12,8 +12,7 @@
 //   u32  magic   'UCKW'
 //   u8   format version (1)
 //   u8   kind    (0 keyframe, 1 delta)
-//   u8   payload version (svc/checkpoint.h: 1 = lossless f64,
-//                         2 = quantized fixed-point)
+//   u8   payload version (1 = lossless f64, 2 = quantized fixed-point)
 //   u64  seq          (monotonic wave number, strictly increasing)
 //   u64  parent seq   (the previous wave in the chain; 0 for a keyframe)
 //   u64  accepted_since_scan (eviction-cadence counter at wave time)
@@ -22,15 +21,17 @@
 //        tombstone records: an id absent from the membership of a later
 //        wave is simply dropped during collapse.
 //   u32  record count, then per dirty session (ascending id):
-//        SessionRecordHeader + core::Uniloc payload
+//        u64 id, u64 last_active_us, u64 epochs_served, u32 payload
+//        length, then that many bytes of core::Uniloc payload
 //   u32  CRC-32 of every preceding byte
 //
 // The CRC makes torn writes self-evident: a wave that fails any check is
 // rejected as a unit. Collapse then applies the longest valid prefix of
 // deltas whose parent links are contiguous -- a corrupt, truncated or
 // missing middle delta cuts the chain there (loudly: the reject count is
-// reported), never silently interleaving stale and fresh state. See
-// DESIGN.md section 17.
+// reported), never silently interleaving stale and fresh state. A
+// keyframe alone is the full snapshot of a population: it is what
+// LocalizationServer::snapshot() returns. See DESIGN.md section 17.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +39,6 @@
 #include <vector>
 
 #include "offload/bytes.h"
-#include "svc/checkpoint.h"
 #include "svc/fsio.h"
 
 namespace uniloc::svc {
@@ -49,10 +49,36 @@ inline constexpr std::uint8_t kWaveFormatVersion = 1;
 inline constexpr std::uint8_t kWaveKeyframe = 0;
 inline constexpr std::uint8_t kWaveDelta = 1;
 
+/// Record payload codecs. Lossless payloads carry full f64 particle
+/// state. Quantized payloads use fixed-point u16 positions/headings
+/// within the venue bbox (filter/particle_filter.h): restore-then-rewave
+/// is byte-stable, but the dequantized state differs from the original
+/// by up to half a grid step -- quantized waves are for the durable
+/// chain, never for snapshot(), whose crash/restore round trip must be
+/// bit-lossless.
+inline constexpr std::uint8_t kPayloadLossless = 1;
+inline constexpr std::uint8_t kPayloadQuantized = 2;
+
+/// Hard cap on a wave's membership: a 4-byte count field must not let a
+/// hostile wave drive a multi-gigabyte allocation loop.
+inline constexpr std::uint32_t kMaxWaveSessions = 1u << 20;
+
+/// Hard cap on a wave file's size (4 GiB): load_wave_files skips
+/// anything larger before allocating a byte of it.
+inline constexpr std::uint64_t kMaxWaveFileBytes = 1ull << 32;
+
+/// The fixed-size prefix of one session record.
+struct SessionRecordHeader {
+  std::uint64_t id{0};
+  std::uint64_t last_active_us{0};
+  std::uint64_t epochs_served{0};
+  std::uint32_t payload_len{0};
+};
+
 /// The fixed fields of one wave (everything but membership + records).
 struct WaveHeader {
   std::uint8_t kind{kWaveKeyframe};
-  std::uint8_t payload_version{kSnapshotVersion};
+  std::uint8_t payload_version{kPayloadLossless};
   std::uint64_t seq{0};
   std::uint64_t parent_seq{0};
   std::uint64_t accepted_since_scan{0};
@@ -101,11 +127,11 @@ struct WaveView {
 
 /// Validate and decode one wave: magic, format version, payload version,
 /// CRC over the whole body, ascending membership and record ids, record
-/// framing, and the session-count caps from checkpoint.h. False leaves
-/// `out` unspecified; hostile input can only fail cleanly.
+/// framing, and the membership cap. False leaves `out` unspecified;
+/// hostile input can only fail cleanly.
 bool decode_wave(const std::vector<std::uint8_t>& bytes, WaveView& out);
 
-/// Result of collapsing a chain of raw wave buffers into one snapshot.
+/// Result of collapsing a chain of raw wave buffers into one population.
 struct ChainCollapse {
   /// False when no wave in the input decoded as a valid keyframe.
   bool ok{false};
@@ -118,10 +144,13 @@ struct ChainCollapse {
   std::size_t waves_rejected{0};
   /// seq of the last applied wave.
   std::uint64_t seq{0};
-  /// The collapsed state as a standard UCKP snapshot (svc/checkpoint.h)
-  /// carrying the chain's payload version; feed it straight to
-  /// LocalizationServer::restore.
-  std::vector<std::uint8_t> snapshot;
+  /// The chain's payload codec and the last applied wave's
+  /// eviction-cadence counter.
+  std::uint8_t payload_version{kPayloadLossless};
+  std::uint64_t accepted_since_scan{0};
+  /// The collapsed population, ascending id. Payloads point into the
+  /// input wave buffers, which must outlive these records.
+  std::vector<WaveView::Record> records;
 };
 
 /// Collapse `waves` (ascending seq order, e.g. from load_wave_files) by
@@ -142,9 +171,11 @@ bool write_wave_file(const std::string& dir, std::uint64_t seq,
 
 /// Read every wave-*.bin in `dir`, ascending seq. Unreadable or
 /// oversized files are skipped (collapse_chain rejects damage that
-/// parses). Returns empty when the directory is missing.
+/// parses). A non-null `newest_seq` receives the highest seq among the
+/// wave file names, skipped files included (0 when there are none).
+/// Returns empty when the directory is missing.
 std::vector<std::vector<std::uint8_t>> load_wave_files(
-    const std::string& dir);
+    const std::string& dir, std::uint64_t* newest_seq = nullptr);
 
 /// Delete wave files with seq strictly below `keep_from` -- called after
 /// a keyframe at `keep_from` is durable, so the chain prefix it replaced

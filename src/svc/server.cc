@@ -11,7 +11,6 @@
 #include "obs/timer.h"
 #include "offload/bytes.h"
 #include "offload/payload.h"
-#include "svc/checkpoint.h"
 #include "svc/delta.h"
 #include "svc/epoch_codec.h"
 
@@ -430,18 +429,14 @@ ServerStatus LocalizationServer::status() {
 }
 
 void LocalizationServer::maybe_checkpoint() {
+  if (cfg_.checkpoint_dir.empty()) return;
   const std::uint64_t now = now_us();
   {
     std::lock_guard<std::mutex> lock(lifecycle_mu_);
     if (now < last_checkpoint_us_ + cfg_.checkpoint_period_us) return;
     last_checkpoint_us_ = now;
   }
-  if (!cfg_.checkpoint_dir.empty()) {
-    checkpoint_wave_now();
-    return;
-  }
-  const std::vector<std::uint8_t> bytes = snapshot();
-  if (cfg_.on_checkpoint) cfg_.on_checkpoint(bytes);
+  checkpoint_wave_now();
 }
 
 void LocalizationServer::checkpoint_wave_now() {
@@ -517,7 +512,7 @@ WaveHeader LocalizationServer::stamp_wave_locked(bool keyframe) {
   WaveHeader h;
   h.kind = keyframe ? kWaveKeyframe : kWaveDelta;
   h.payload_version =
-      cfg_.snapshot_quantize ? kSnapshotVersionQuantized : kSnapshotVersion;
+      cfg_.snapshot_quantize ? kPayloadQuantized : kPayloadLossless;
   h.seq = ++wave_seq_;
   h.parent_seq = keyframe ? 0 : h.seq - 1;
   if (keyframe) {
@@ -538,9 +533,11 @@ std::vector<std::uint8_t> LocalizationServer::snapshot_wave(bool keyframe) {
   return fill_wave(h);
 }
 
-std::vector<std::uint8_t> LocalizationServer::fill_wave(WaveHeader h) {
+std::vector<std::uint8_t> LocalizationServer::fill_wave(WaveHeader h,
+                                                       bool checkpoint) {
   const obs::Stopwatch fill_time;
   const bool keyframe = h.kind == kWaveKeyframe;
+  const bool quantize = h.payload_version == kPayloadQuantized;
   {
     std::lock_guard<std::mutex> lock(lifecycle_mu_);
     h.accepted_since_scan = static_cast<std::uint64_t>(accepted_since_scan_);
@@ -556,19 +553,25 @@ std::vector<std::uint8_t> LocalizationServer::fill_wave(WaveHeader h) {
     // turns dirty after the check stays dirty and is caught by the next
     // wave; one that looks dirty but didn't change just costs bytes.
     if (!keyframe && !s->dirty()) continue;
+    // Serialize while *holding* the strand, not after a transient idle()
+    // check: with live traffic a worker could start the next epoch
+    // between the check and the read. run_exclusive claims the strand
+    // like a drain would, so the session's state is frozen at an epoch
+    // boundary for exactly the duration of its record.
     s->run_exclusive([&] {
       offload::ByteWriter& w = builder.begin_session(
           s->id(), s->last_active_us(),
           static_cast<std::uint64_t>(s->epochs_served()));
-      s->uniloc().snapshot_into(w, cfg_.snapshot_quantize);
+      s->uniloc().snapshot_into(w, quantize);
       builder.end_session();
       // Inside the exclusive section: the clean mark covers exactly the
       // state this wave serialized.
-      s->mark_clean();
+      if (checkpoint) s->mark_clean();
     });
     ++records;
   }
   std::vector<std::uint8_t> bytes = builder.finish();
+  if (!checkpoint) return bytes;
   const auto fill_us = static_cast<std::uint64_t>(fill_time.elapsed_us());
   {
     std::lock_guard<std::mutex> lock(chain_mu_);
@@ -588,23 +591,15 @@ std::vector<std::uint8_t> LocalizationServer::fill_wave(WaveHeader h) {
 }
 
 LocalizationServer::ChainRestoreResult LocalizationServer::restore_chain() {
-  ChainRestoreResult out;
-  if (cfg_.checkpoint_dir.empty()) return out;
-  const ChainCollapse collapsed =
-      collapse_chain(load_wave_files(cfg_.checkpoint_dir));
-  out.deltas_applied = collapsed.deltas_applied;
-  out.waves_rejected = collapsed.waves_rejected;
-  if (!collapsed.ok) return out;
-  out.ok = restore(collapsed.snapshot);
-  out.seq = collapsed.seq;
-  if (out.ok) {
-    std::lock_guard<std::mutex> lock(chain_mu_);
-    // Continue the sequence past every file on disk (including rejected
-    // tail waves, whose seqs must not be reused) and re-anchor: restored
-    // sessions all start dirty, and the next wave keyframes them.
-    wave_seq_ = std::max(wave_seq_, collapsed.seq + collapsed.waves_rejected);
-    force_keyframe_ = true;
-  }
+  if (cfg_.checkpoint_dir.empty()) return {};
+  std::uint64_t newest = 0;
+  const ChainRestoreResult out =
+      restore(load_wave_files(cfg_.checkpoint_dir, &newest));
+  // Continue past every wave file on disk, rejected and stale ones
+  // included: the next keyframe then outranks them all, and the prune
+  // behind it removes them.
+  std::lock_guard<std::mutex> lock(chain_mu_);
+  wave_seq_ = std::max(wave_seq_, newest);
   return out;
 }
 
@@ -615,86 +610,62 @@ LocalizationServer::CheckpointStats LocalizationServer::checkpoint_stats()
 }
 
 std::vector<std::uint8_t> LocalizationServer::snapshot() {
-  offload::ByteWriter w;
-  write_snapshot_header(w);
-  {
-    std::lock_guard<std::mutex> lock(lifecycle_mu_);
-    w.put_u64(static_cast<std::uint64_t>(accepted_since_scan_));
-  }
-  const std::vector<SessionPtr> sessions = sessions_.all();
-  w.put_u32(static_cast<std::uint32_t>(sessions.size()));
-  for (const SessionPtr& s : sessions) {
-    // Serialize while *holding* the strand, not after a transient idle()
-    // check: with live traffic a worker could start the next epoch
-    // between the check and the read. run_exclusive claims the strand
-    // like a drain would, so the session's state is frozen at an epoch
-    // boundary for exactly the duration of its record.
-    s->run_exclusive([&] {
-      w.put_u64(s->id());
-      w.put_u64(s->last_active_us());
-      w.put_u64(static_cast<std::uint64_t>(s->epochs_served()));
-      const std::size_t len_pos = w.size();
-      w.put_u32(0);
-      const std::size_t start = w.size();
-      s->uniloc().snapshot_into(w, /*quantize=*/false);
-      w.patch_u32(len_pos, static_cast<std::uint32_t>(w.size() - start));
-    });
-  }
-  return w.take();
+  WaveHeader h;
+  h.kind = kWaveKeyframe;
+  h.payload_version = kPayloadLossless;
+  h.seq = 1;
+  return fill_wave(h, /*checkpoint=*/false);
 }
 
-bool LocalizationServer::restore(const std::vector<std::uint8_t>& snapshot) {
-  offload::ByteReader r(snapshot.data(), snapshot.size());
-  std::uint8_t version;
-  if (!check_snapshot_header(r, version)) return false;
-  const bool quantized = version == kSnapshotVersionQuantized;
-  std::uint64_t accepted_since_scan;
-  std::uint32_t count;
-  if (!r.get_u64(accepted_since_scan) || !r.get_u32(count) ||
-      count > kMaxSnapshotSessions) {
-    return false;
-  }
+LocalizationServer::ChainRestoreResult LocalizationServer::restore(
+    const std::vector<std::vector<std::uint8_t>>& waves) {
+  const ChainCollapse chain = collapse_chain(waves);
+  ChainRestoreResult out;
+  out.deltas_applied = chain.deltas_applied;
+  out.waves_rejected = chain.waves_rejected;
+  out.seq = chain.seq;
+  if (!chain.ok) return out;
 
   // The restore replaces the whole population; a failure partway leaves
   // an empty server (the caller's recovery story is "retry or re-hello"),
   // never a half-restored mix of old and new sessions.
   sessions_.clear();
-  bool ok = true;
-  for (std::uint32_t i = 0; i < count && ok; ++i) {
-    SessionRecordHeader rec;
-    if (!read_session_record_header(r, rec)) {
-      ok = false;
-      break;
-    }
+  const bool quantized = chain.payload_version == kPayloadQuantized;
+  out.ok = true;
+  for (const WaveView::Record& rec : chain.records) {
     // Rebuild through the factory (same per-session seeds as the hello
     // path); restore_from then overwrites every field reset() would have
     // initialized, so no reset() call is needed -- or wanted, since it
     // would consume RNG draws the original session never made.
-    std::unique_ptr<core::Uniloc> uniloc = factory_(rec.id);
+    std::unique_ptr<core::Uniloc> uniloc = factory_(rec.h.id);
     uniloc->attach_tracer(cfg_.tracer);
-    const std::size_t before = r.pos();
-    if (!uniloc->restore_from(r, quantized) ||
-        r.pos() - before != rec.payload_len) {
-      ok = false;
-      break;
-    }
-    const SessionPtr session = sessions_.create(rec.id, std::move(uniloc), 0);
-    if (session == nullptr) {  // duplicate id in a corrupt snapshot
-      ok = false;
+    offload::ByteReader r(rec.payload, rec.h.payload_len);
+    const SessionPtr session =
+        uniloc->restore_from(r, quantized) && r.remaining() == 0
+            ? sessions_.create(rec.h.id, std::move(uniloc), 0)
+            : nullptr;
+    if (session == nullptr) {
+      out.ok = false;
       break;
     }
     session->restore_bookkeeping(
-        rec.last_active_us, static_cast<std::size_t>(rec.epochs_served));
+        rec.h.last_active_us, static_cast<std::size_t>(rec.h.epochs_served));
   }
-  if (ok && r.remaining() != 0) ok = false;
-  if (!ok) {
+  if (!out.ok) {
     sessions_.clear();
     note_live_sessions();
-    return false;
+    return out;
   }
   {
     std::lock_guard<std::mutex> lock(lifecycle_mu_);
-    accepted_since_scan_ = static_cast<std::size_t>(accepted_since_scan);
+    accepted_since_scan_ = static_cast<std::size_t>(chain.accepted_since_scan);
+  }
+  {
+    // Re-anchor: restored sessions all start dirty, and the next
+    // periodic wave keyframes them past the restored seq.
+    std::lock_guard<std::mutex> lock(chain_mu_);
+    wave_seq_ = std::max(wave_seq_, chain.seq);
+    force_keyframe_ = true;
   }
   if (cfg_.flight != nullptr) {
     for (const SessionPtr& s : sessions_.all()) {
@@ -706,7 +677,7 @@ bool LocalizationServer::restore(const std::vector<std::uint8_t>& snapshot) {
     }
   }
   note_live_sessions();
-  return true;
+  return out;
 }
 
 void LocalizationServer::crash() {

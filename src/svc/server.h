@@ -94,28 +94,24 @@ struct ServerConfig {
   std::function<void(std::uint64_t session_id,
                      const core::EpochDecision& decision)>
       on_epoch;
-  /// Periodic checkpointing: when > 0, submit() checkpoints whenever at
+  /// Periodic checkpointing: when > 0 and `checkpoint_dir` is set,
+  /// submit() triggers a wave through checkpoint_wave_now() whenever at
   /// least this many microseconds (by `now_us`) have passed since the
-  /// last one: a full snapshot() handed to `on_checkpoint`, or with
-  /// `checkpoint_dir` set a wave triggered through
-  /// checkpoint_wave_now(). Checkpoints quiesce each session before
-  /// serializing it and leave its Uniloc state untouched, so enabling
-  /// them keeps the served epoch stream bit-identical.
+  /// last one. Waves quiesce each session before serializing it and
+  /// leave its Uniloc state untouched, so enabling them keeps the served
+  /// epoch stream bit-identical.
   std::uint64_t checkpoint_period_us{0};
-  std::function<void(const std::vector<std::uint8_t>& snapshot)>
-      on_checkpoint;
-  /// Durable delta-chain checkpointing (svc/delta.h). When non-empty,
-  /// periodic checkpoints write wave files into this directory (keyframe
-  /// + dirty-session deltas) instead of full snapshots through
-  /// `on_checkpoint`. Pair with restore_chain() at startup.
+  /// Durable delta-chain checkpointing (svc/delta.h): the directory the
+  /// wave files (keyframe + dirty-session deltas) go to. Pair with
+  /// restore_chain() at startup.
   std::string checkpoint_dir;
   /// Every Nth wave is a full keyframe (bounds both recovery length and
   /// how long a departed session's bytes linger in the chain). Waves in
   /// between serialize only sessions whose strand ran since the last
   /// wave.
   std::size_t keyframe_interval{16};
-  /// Encode chain waves with the quantized particle codec (checkpoint
-  /// format v2, ~4x smaller; filter/particle_filter.h documents the
+  /// Encode chain waves with the quantized particle codec (payload
+  /// version 2, ~4x smaller; filter/particle_filter.h documents the
   /// error budget). Never applies to snapshot(), which stays lossless
   /// -- crash/restore bit-identity depends on it.
   bool snapshot_quantize{false};
@@ -158,21 +154,35 @@ class LocalizationServer {
   /// TTL-scan now. Returns sessions evicted.
   std::size_t evict_idle();
 
-  /// Serialize every live session into a versioned snapshot
-  /// (svc/checkpoint.h). Each session is quiesced (waited idle) before it
-  /// is serialized, so its payload is a consistent post-epoch state; no
-  /// session state is mutated, so a run with snapshots interleaved is
-  /// bit-identical to one without.
+  /// Serialize every live session into one lossless keyframe wave
+  /// (svc/delta.h), written by the same record loop as the checkpoint
+  /// waves. Each session is quiesced (waited idle) while its record is
+  /// written, so its payload is a consistent post-epoch state. A pure
+  /// read: no session state, dirty mark or wave sequence changes, so a
+  /// run with snapshots interleaved is bit-identical to one without. The
+  /// wave carries the fixed seq 1, so equal servers snapshot to equal
+  /// bytes.
   std::vector<std::uint8_t> snapshot();
 
-  /// Replace the entire session population with the snapshot's. Sessions
-  /// are rebuilt through the factory (same per-session seeds as the hello
-  /// path) and their serialized state restored on top. Returns false --
-  /// with ALL sessions dropped -- on a malformed, truncated, corrupted or
-  /// version-mismatched snapshot; never crashes on hostile input.
-  /// Accepts both payload versions (the v2 quantized codec is what
-  /// collapse_chain emits for quantized chains).
-  bool restore(const std::vector<std::uint8_t>& snapshot);
+  /// Outcome of a restore.
+  struct ChainRestoreResult {
+    bool ok{false};               ///< A valid keyframe restored.
+    std::size_t deltas_applied{0};
+    std::size_t waves_rejected{0};  ///< Damaged/unlinked waves skipped.
+    std::uint64_t seq{0};           ///< Last applied wave.
+  };
+
+  /// Replace the entire session population with the one `waves`
+  /// collapse to (collapse_chain: the newest valid keyframe plus the
+  /// longest linked run of deltas after it; a snapshot() is a one-wave
+  /// chain). Sessions are rebuilt through the factory (same per-session
+  /// seeds as the hello path) and their serialized state restored on
+  /// top. Without a valid keyframe the population is left as it was; a
+  /// malformed session record drops ALL sessions; hostile input never
+  /// crashes. Success re-anchors the chain: the sequence continues past
+  /// the restored wave and the next periodic wave is a keyframe.
+  ChainRestoreResult restore(
+      const std::vector<std::vector<std::uint8_t>>& waves);
 
   /// Serialize one checkpoint wave (svc/delta.h) on the caller and
   /// advance the wave sequence. A keyframe wave carries every live
@@ -184,19 +194,12 @@ class LocalizationServer {
   /// cfg.snapshot_quantize.
   std::vector<std::uint8_t> snapshot_wave(bool keyframe);
 
-  /// Outcome of a delta-chain recovery.
-  struct ChainRestoreResult {
-    bool ok{false};               ///< A valid keyframe restored.
-    std::size_t deltas_applied{0};
-    std::size_t waves_rejected{0};  ///< Damaged/unlinked waves skipped.
-    std::uint64_t seq{0};           ///< Last applied wave.
-  };
-
-  /// Recover the session population from the wave chain in
-  /// cfg.checkpoint_dir: newest valid keyframe + the longest contiguous
-  /// valid run of deltas after it (torn or corrupt waves are rejected as
-  /// units and reported). On success the next periodic wave is forced to
-  /// be a keyframe, re-anchoring the chain.
+  /// restore() from the wave files in cfg.checkpoint_dir (torn or
+  /// corrupt waves are rejected as units and reported). Whatever the
+  /// outcome, the sequence then continues past the highest seq among the
+  /// directory's wave file names, rejected and stale waves included, so
+  /// the re-anchoring keyframe outranks every file there and its prune
+  /// removes them.
   ChainRestoreResult restore_chain();
 
   /// Cumulative delta-chain persistence counters (soak bench, statusz).
@@ -293,16 +296,22 @@ class LocalizationServer {
                  std::uint64_t session_id, const Promise& promise,
                  obs::Stopwatch accepted_at, obs::SpanHandle root,
                  obs::SpanHandle queue_wait);
-  /// Take a periodic snapshot when the checkpoint period elapsed.
+  /// Trigger a wave when the checkpoint period elapsed.
   void maybe_checkpoint();
   /// The trigger's half of a wave, called under chain_mu_: stamp seq and
   /// parent_seq and advance the keyframe cadence.
   WaveHeader stamp_wave_locked(bool keyframe);
-  /// The fill: take membership, quiesce + serialize + mark clean each
-  /// session the wave carries, CRC, count it in ckpt_stats_. Fills run
-  /// one at a time in seq order, so a later wave never clears a dirty
-  /// mark before an earlier one has serialized that session.
-  std::vector<std::uint8_t> fill_wave(WaveHeader header);
+  /// The fill, the one record loop behind every wave and snapshot():
+  /// take membership, then quiesce + serialize each session the wave
+  /// carries (all for a keyframe, else the dirty ones) in the header's
+  /// payload codec; CRC. A checkpoint fill also marks each serialized
+  /// session clean inside the same exclusive section and is counted in
+  /// ckpt_stats_; snapshot() fills with `checkpoint` false and so stays a
+  /// pure read. Checkpoint fills run one at a time in seq order, so a
+  /// later wave never clears a dirty mark before an earlier one has
+  /// serialized that session.
+  std::vector<std::uint8_t> fill_wave(WaveHeader header,
+                                      bool checkpoint = true);
   /// Book a publish outcome: prune behind a durable keyframe, re-anchor
   /// the chain after a failure.
   void settle_wave(const WaveHeader& header, bool ok);

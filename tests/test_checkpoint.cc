@@ -1,25 +1,26 @@
 // Checkpoint/restore correctness: the crash-recovery differential suite.
 //
-// The snapshot codec (svc/checkpoint.h) claims that a server killed at an
-// arbitrary round and restored from its latest checkpoint serves the
-// exact epoch stream of an uninterrupted run. These tests hold it to that
-// claim the same way the worker differentials do -- bit-for-bit
-// comparisons, never tolerances:
+// A server snapshot is one lossless keyframe wave (svc/delta.h). The
+// claim is that a server killed at an arbitrary round and restored from
+// its latest checkpoint serves the exact epoch stream of an
+// uninterrupted run. These tests hold it to that claim the same way the
+// worker differentials do -- bit-for-bit comparisons, never tolerances:
 //
 //   * codec round trips at every layer (RNG engine, particle filter,
 //     whole server) continue the random stream exactly;
 //   * crash+restore every K rounds (K in {1, 7, 31}) on the campus
 //     deployment covering all eight paths, at workers 0 and 4, across a
 //     16-seed sweep, reproduces the uninterrupted timeline;
-//   * hostile input -- truncations at every prefix length, single bit
-//     flips, bad magic/version/framing -- is rejected cleanly (the
-//     ASan+UBSan gate in scripts/check.sh runs this suite).
+//   * hostile input -- payloads cut at every length or bit-flipped and
+//     re-sealed behind a valid CRC, relabelled payload codecs, framing
+//     damage, buffers in the retired pre-wave format -- is rejected
+//     cleanly (the ASan+UBSan gate in scripts/check.sh runs this suite).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <random>
 #include <sstream>
@@ -35,7 +36,7 @@
 #include "sim/builders.h"
 #include "sim/virtual_clock.h"
 #include "stats/rng_codec.h"
-#include "svc/checkpoint.h"
+#include "svc/delta.h"
 #include "svc/epoch_codec.h"
 #include "svc/loadgen.h"
 #include "svc/server.h"
@@ -275,9 +276,10 @@ std::vector<std::uint8_t> epoch_frame(std::uint64_t sid) {
 }
 
 /// A small live server: two sessions, a few epochs of traffic.
-std::unique_ptr<svc::LocalizationServer> warm_server() {
+std::unique_ptr<svc::LocalizationServer> warm_server(
+    svc::ServerConfig cfg = {}) {
   auto server = std::make_unique<svc::LocalizationServer>(
-      svc::ServerConfig{}, factory_for(campus_deployment()), nullptr);
+      std::move(cfg), factory_for(campus_deployment()), nullptr);
   for (std::uint64_t sid : {1ull, 2ull}) {
     server->submit(hello_frame(sid, {1.0, 2.0}, 0.3)).get();
     for (int e = 0; e < 3; ++e) server->submit(epoch_frame(sid)).get();
@@ -291,7 +293,7 @@ TEST(ServerSnapshot, RestoredServerServesIdenticalRepliesAndReSnapshots) {
 
   svc::LocalizationServer b(svc::ServerConfig{},
                             factory_for(campus_deployment()), nullptr);
-  ASSERT_TRUE(b.restore(snap));
+  ASSERT_TRUE(b.restore({snap}).ok);
   EXPECT_EQ(b.live_sessions(), 2u);
   // Re-snapshotting the restored server must reproduce the snapshot
   // byte for byte (state AND bookkeeping both round-tripped).
@@ -320,7 +322,7 @@ TEST(ServerSnapshot, CrashDropsAllSessionsAndRestoreRevivesThem) {
   ASSERT_TRUE(lost.frame.has_value());
   EXPECT_EQ(lost.frame->type, svc::FrameType::kError);
 
-  ASSERT_TRUE(server->restore(snap));
+  ASSERT_TRUE(server->restore({snap}).ok);
   EXPECT_EQ(server->live_sessions(), 2u);
   const svc::DecodeResult back =
       svc::decode_frame(server->submit(epoch_frame(1)).get());
@@ -328,113 +330,182 @@ TEST(ServerSnapshot, CrashDropsAllSessionsAndRestoreRevivesThem) {
   EXPECT_EQ(back.frame->type, svc::FrameType::kReply);
 }
 
+TEST(ServerSnapshot, SnapshotIsAPureRead) {
+  // Twin servers with the same traffic and a frozen clock; only `a`
+  // snapshots. Dirty marks and the wave sequence must not notice: the
+  // next delta from each carries the same seq and records, byte for byte.
+  svc::ServerConfig cfg;
+  cfg.now_us = [] { return std::uint64_t{1}; };
+  std::unique_ptr<svc::LocalizationServer> a = warm_server(cfg);
+  std::unique_ptr<svc::LocalizationServer> b = warm_server(cfg);
+  for (svc::LocalizationServer* s : {a.get(), b.get()}) {
+    s->snapshot_wave(/*keyframe=*/true);
+    s->submit(epoch_frame(1)).get();
+  }
+  const std::vector<std::uint8_t> snap = a->snapshot();
+  EXPECT_EQ(a->snapshot(), snap);
+  svc::WaveView v;
+  ASSERT_TRUE(svc::decode_wave(snap, v));
+  EXPECT_EQ(v.header.seq, 1u);
+  EXPECT_EQ(v.records.size(), 2u);
+
+  const std::vector<std::uint8_t> delta = a->snapshot_wave(false);
+  EXPECT_EQ(delta, b->snapshot_wave(false));
+  ASSERT_TRUE(svc::decode_wave(delta, v));
+  EXPECT_EQ(v.header.seq, 2u);
+  ASSERT_EQ(v.records.size(), 1u);
+  EXPECT_EQ(v.records[0].h.id, 1u);
+}
+
 // ------------------------------------------------------ hostile snapshots
+
+/// Rebuild a decoded wave with `edit` applied to each record's payload
+/// (record index, payload bytes). The result carries a valid CRC and
+/// valid framing, so payload damage reaches Uniloc::restore_from.
+std::vector<std::uint8_t> reseal(
+    const svc::WaveView& v,
+    const std::function<void(std::size_t, std::vector<std::uint8_t>&)>&
+        edit = {}) {
+  svc::WaveBuilder b(v.header, v.members);
+  for (std::size_t i = 0; i < v.records.size(); ++i) {
+    const svc::WaveView::Record& rec = v.records[i];
+    std::vector<std::uint8_t> payload(rec.payload,
+                                      rec.payload + rec.h.payload_len);
+    if (edit) edit(i, payload);
+    b.begin_session(rec.h.id, rec.h.last_active_us, rec.h.epochs_served)
+        .put_bytes(payload.data(), payload.size());
+    b.end_session();
+  }
+  return b.finish();
+}
 
 TEST(ServerSnapshot, RejectsBadMagicVersionTrailerAndCount) {
   std::unique_ptr<svc::LocalizationServer> server = warm_server();
   const std::vector<std::uint8_t> snap = server->snapshot();
+  svc::WaveView v;
+  ASSERT_TRUE(svc::decode_wave(snap, v));
+  ASSERT_EQ(reseal(v), snap);  // re-sealing alone changes nothing
   svc::LocalizationServer b(svc::ServerConfig{},
                             factory_for(campus_deployment()), nullptr);
+  ASSERT_TRUE(b.restore({snap}).ok);
 
-  std::vector<std::uint8_t> bad = snap;
-  bad[0] ^= 0xFF;  // magic
-  EXPECT_FALSE(b.restore(bad));
+  // Bad magic: a buffer in the retired pre-wave snapshot format (its
+  // magic, version 1, scan counter, session count, then the records).
+  offload::ByteWriter retired;
+  retired.put_u32(0x504B4355u);
+  retired.put_u8(1);
+  retired.put_u64(0);
+  retired.put_u32(static_cast<std::uint32_t>(v.records.size()));
+  for (const svc::WaveView::Record& rec : v.records) {
+    retired.put_u64(rec.h.id);
+    retired.put_u64(rec.h.last_active_us);
+    retired.put_u64(rec.h.epochs_served);
+    retired.put_u32(rec.h.payload_len);
+    retired.put_bytes(rec.payload, rec.h.payload_len);
+  }
+  // Unknown payload codec; a keyframe member with no record (count).
+  svc::WaveView unknown = v;
+  unknown.header.payload_version = 99;
+  svc::WaveView orphan = v;
+  orphan.members.push_back(99);
+  // No valid keyframe: rejected as a wave, population left as it was.
+  for (const std::vector<std::uint8_t>& bad :
+       {retired.take(), reseal(unknown), reseal(orphan),
+        std::vector<std::uint8_t>{}}) {
+    const svc::LocalizationServer::ChainRestoreResult r = b.restore({bad});
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.waves_rejected, 1u);
+    EXPECT_EQ(b.live_sessions(), 2u);
+  }
+  EXPECT_FALSE(b.restore({}).ok);  // no wave at all
+  EXPECT_EQ(b.live_sessions(), 2u);
 
-  bad = snap;
-  bad[4] = 99;  // unknown to both codec versions (v1 f64, v2 quantized)
-  EXPECT_FALSE(b.restore(bad));
-
-  bad = snap;
-  bad[4] = svc::kSnapshotVersionQuantized;  // f64 payload relabelled v2
-  EXPECT_FALSE(b.restore(bad));
-
-  bad = snap;
-  bad.push_back(0);  // trailing garbage
-  EXPECT_FALSE(b.restore(bad));
-
-  bad = snap;
-  bad[13] += 1;  // session-count field (after magic+version+scan counter)
-  EXPECT_FALSE(b.restore(bad));
-
-  EXPECT_FALSE(b.restore({}));  // empty
-
-  // A failed restore leaves no half-restored population behind.
-  EXPECT_EQ(b.live_sessions(), 0u);
+  // Lossless payloads relabelled quantized; trailing garbage after a
+  // payload. The waves are valid, so the records reach restore_from,
+  // which must reject them -- and no half-restored population remains.
+  svc::WaveView relabelled = v;
+  relabelled.header.payload_version = svc::kPayloadQuantized;
+  const std::vector<std::uint8_t> trailer =
+      reseal(v, [](std::size_t i, std::vector<std::uint8_t>& p) {
+        if (i == 1) p.push_back(0);
+      });
+  for (const std::vector<std::uint8_t>& bad : {reseal(relabelled), trailer}) {
+    ASSERT_TRUE(b.restore({snap}).ok);
+    const svc::LocalizationServer::ChainRestoreResult r = b.restore({bad});
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.waves_rejected, 0u);
+    EXPECT_EQ(b.live_sessions(), 0u);
+  }
   // And the pristine snapshot still restores fine afterwards.
-  EXPECT_TRUE(b.restore(snap));
+  EXPECT_TRUE(b.restore({snap}).ok);
   EXPECT_EQ(b.live_sessions(), 2u);
 }
 
 TEST(ServerSnapshot, EveryTruncationIsRejectedCleanly) {
+  // Cut the last session's payload short and re-seal the wave (a cut of
+  // the raw wave fails its CRC: delta.WaveCodec). Every cut reaches
+  // restore_from, which must reject it, and the first session, already
+  // rebuilt, must not survive the failure.
   std::unique_ptr<svc::LocalizationServer> server = warm_server();
   const std::vector<std::uint8_t> snap = server->snapshot();
+  svc::WaveView v;
+  ASSERT_TRUE(svc::decode_wave(snap, v));
   svc::LocalizationServer b(svc::ServerConfig{},
                             factory_for(campus_deployment()), nullptr);
 
   // Exhaustive over the framing-dense prefix, strided across the bulk
   // (particle arrays), and exhaustive again near the end.
+  const std::size_t len = v.records.back().h.payload_len;
   std::vector<std::size_t> lengths;
-  for (std::size_t n = 0; n < std::min<std::size_t>(snap.size(), 512); ++n) {
+  for (std::size_t n = 0; n < std::min<std::size_t>(len, 512); ++n) {
     lengths.push_back(n);
   }
-  for (std::size_t n = 512; n + 64 < snap.size(); n += 97) {
+  for (std::size_t n = 512; n + 64 < len; n += 97) lengths.push_back(n);
+  for (std::size_t n = len - std::min<std::size_t>(len, 64); n < len; ++n) {
     lengths.push_back(n);
   }
-  for (std::size_t n = snap.size() - std::min<std::size_t>(snap.size(), 64);
-       n < snap.size(); ++n) {
-    lengths.push_back(n);
-  }
+  const std::size_t last = v.records.size() - 1;
   for (const std::size_t n : lengths) {
-    const std::vector<std::uint8_t> cut(snap.begin(), snap.begin() + n);
-    EXPECT_FALSE(b.restore(cut)) << "truncated to " << n << " bytes";
+    const svc::LocalizationServer::ChainRestoreResult r = b.restore(
+        {reseal(v, [last, n](std::size_t i, std::vector<std::uint8_t>& p) {
+          if (i == last) p.resize(n);
+        })});
+    EXPECT_FALSE(r.ok) << "payload cut to " << n << " bytes";
+    EXPECT_EQ(b.live_sessions(), 0u) << "payload cut to " << n << " bytes";
   }
-  EXPECT_TRUE(b.restore(snap));
+  EXPECT_TRUE(b.restore({snap}).ok);
 }
 
 TEST(ServerSnapshot, BitFlipsNeverCrashTheRestorer) {
   std::unique_ptr<svc::LocalizationServer> server = warm_server();
   const std::vector<std::uint8_t> snap = server->snapshot();
+  svc::WaveView v;
+  ASSERT_TRUE(svc::decode_wave(snap, v));
   svc::LocalizationServer b(svc::ServerConfig{},
                             factory_for(campus_deployment()), nullptr);
 
-  // A flipped bit may land in a particle coordinate (restore succeeds
-  // with a different cloud -- benign) or in framing (restore must reject);
-  // either way: no crash, no UB, server still usable. The stride covers
-  // header, bookkeeping, scheme names, lengths and payload bytes.
+  // A flipped payload bit, re-sealed behind a valid CRC, may land in a
+  // particle coordinate (restore succeeds with a different cloud --
+  // benign) or in a length, scheme name or engine position (restore
+  // must reject). Either way: no crash, no UB, and a rejection leaves
+  // no session behind.
   std::mt19937_64 rng(7);
   for (std::size_t trial = 0; trial < 1500; ++trial) {
-    std::vector<std::uint8_t> mutated = snap;
-    const std::size_t byte = rng() % mutated.size();
-    mutated[byte] ^= static_cast<std::uint8_t>(1u << (rng() % 8));
-    b.restore(mutated);  // outcome unspecified; surviving is the assert
+    const std::size_t target = rng() % v.records.size();
+    const std::size_t byte = rng() % v.records[target].h.payload_len;
+    const auto bit = static_cast<std::uint8_t>(1u << (rng() % 8));
+    const svc::LocalizationServer::ChainRestoreResult r = b.restore(
+        {reseal(v, [&](std::size_t i, std::vector<std::uint8_t>& p) {
+          if (i == target) p[byte] ^= bit;
+        })});
+    EXPECT_EQ(b.live_sessions(), r.ok ? v.records.size() : 0u)
+        << "trial " << trial;
   }
-  ASSERT_TRUE(b.restore(snap));
+  ASSERT_TRUE(b.restore({snap}).ok);
   const svc::DecodeResult reply =
       svc::decode_frame(b.submit(epoch_frame(1)).get());
   ASSERT_TRUE(reply.frame.has_value());
   EXPECT_EQ(reply.frame->type, svc::FrameType::kReply);
-}
-
-// ------------------------------------------------------- checkpoint files
-
-TEST(CheckpointFile, AtomicWriteReadRoundTrip) {
-  const std::string dir = "/tmp/uniloc_ckpt_test";
-  std::filesystem::create_directories(dir);
-  const std::vector<std::uint8_t> bytes = {1, 2, 3, 0xFF, 0, 42};
-  ASSERT_TRUE(svc::write_checkpoint_file(dir, bytes));
-  const auto back = svc::read_checkpoint_file(dir);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, bytes);
-  // Overwrite is atomic-replace, not append.
-  const std::vector<std::uint8_t> second = {9, 9};
-  ASSERT_TRUE(svc::write_checkpoint_file(dir, second));
-  EXPECT_EQ(*svc::read_checkpoint_file(dir), second);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(CheckpointFile, MissingDirectoryOrFileReportsFailure) {
-  EXPECT_FALSE(svc::write_checkpoint_file("/nonexistent_dir_xyz", {1}));
-  EXPECT_FALSE(svc::read_checkpoint_file("/nonexistent_dir_xyz").has_value());
 }
 
 // ---------------------------------------------- crash-recovery differential
@@ -516,19 +587,20 @@ TEST(CrashRecovery, SixteenSeedSweepBitIdentical) {
 
 TEST(PeriodicCheckpoint, FiresOnScheduleAndDoesNotPerturbTheRun) {
   const core::Deployment& d = campus_deployment();
+  const std::string dir = testing::TempDir() + "uniloc_periodic_ckpt";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
 
-  const auto run_once = [&d](bool with_checkpoints,
-                             std::vector<std::uint8_t>* last,
-                             std::size_t* fired) {
+  const auto run_once = [&d, &dir](bool with_checkpoints,
+                                   svc::LocalizationServer::CheckpointStats*
+                                       stats) {
     sim::VirtualClock clock;
     svc::ServerConfig cfg;
     cfg.now_us = clock.now_fn();
     if (with_checkpoints) {
       cfg.checkpoint_period_us = 2'000'000;  // every 4 rounds at 0.5 s
-      cfg.on_checkpoint = [last, fired](const std::vector<std::uint8_t>& b) {
-        if (last != nullptr) *last = b;
-        if (fired != nullptr) ++*fired;
-      };
+      cfg.checkpoint_dir = dir;
+      cfg.keyframe_interval = 2;  // keyframes and deltas both
     }
     svc::LocalizationServer server(cfg, factory_for(d), nullptr);
     svc::LoadGenConfig lg;
@@ -536,22 +608,30 @@ TEST(PeriodicCheckpoint, FiresOnScheduleAndDoesNotPerturbTheRun) {
     lg.max_epochs_per_walker = 12;
     lg.clock = &clock;
     lg.resilience.record_timeline = true;
-    return run_load(server, d, lg, nullptr);
+    const svc::LoadReport report = run_load(server, d, lg, nullptr);
+    if (stats != nullptr) *stats = server.checkpoint_stats();
+    return report;
   };
 
-  std::vector<std::uint8_t> last;
-  std::size_t fired = 0;
-  const svc::LoadReport plain = run_once(false, nullptr, nullptr);
-  const svc::LoadReport checkpointed = run_once(true, &last, &fired);
-  EXPECT_GT(fired, 1u);
-  ASSERT_FALSE(last.empty());
+  svc::LocalizationServer::CheckpointStats stats;
+  const svc::LoadReport plain = run_once(false, nullptr);
+  const svc::LoadReport checkpointed = run_once(true, &stats);
+  EXPECT_GT(stats.waves, 1u);
+  EXPECT_GT(stats.keyframes, 0u);
+  EXPECT_LT(stats.keyframes, stats.waves);
+  EXPECT_EQ(stats.publish_failures, 0u);
   expect_identical_reports(plain, checkpointed, "periodic checkpoints");
 
-  // The last periodic checkpoint is a valid restore source.
-  svc::LocalizationServer restored(svc::ServerConfig{}, factory_for(d),
-                                   nullptr);
-  EXPECT_TRUE(restored.restore(last));
+  // The last periodic chain restores every session.
+  svc::ServerConfig rcfg;
+  rcfg.checkpoint_dir = dir;
+  svc::LocalizationServer restored(rcfg, factory_for(d), nullptr);
+  const svc::LocalizationServer::ChainRestoreResult r =
+      restored.restore_chain();
+  EXPECT_TRUE(r.ok);
+  EXPECT_EQ(r.waves_rejected, 0u);
   EXPECT_EQ(restored.live_sessions(), 4u);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Durable delta-checkpoint suite: the wave CRC, wave codec, chain
 // collapse, torn-write fault injection, the async group committer, and
-// the quantized particle codec (snapshot version 2).
+// the quantized particle codec (payload version 2).
 //
 // The load-bearing claims pinned here:
 //   * a chain (keyframe + deltas of dirty sessions only) collapses to
-//     the exact full snapshot -- a server restored through the chain
+//     the exact population -- a server restored through the chain
 //     re-snapshots bit-identically and serves the same continuation;
 //   * damage anywhere in the chain -- corrupt, truncated or missing
 //     middle delta, a crash between any two steps of the publish
@@ -45,7 +45,6 @@
 #include "offload/crc32.h"
 #include "sim/builders.h"
 #include "sim/virtual_clock.h"
-#include "svc/checkpoint.h"
 #include "svc/committer.h"
 #include "svc/delta.h"
 #include "svc/epoch_codec.h"
@@ -179,7 +178,7 @@ TEST(Crc32, MatchesBitwiseOracleAtEveryLengthAndAlignment) {
 TEST(WaveCodec, BuildDecodeRoundTrip) {
   svc::WaveHeader h;
   h.kind = svc::kWaveDelta;
-  h.payload_version = svc::kSnapshotVersion;
+  h.payload_version = svc::kPayloadLossless;
   h.seq = 9;
   h.parent_seq = 8;
   h.accepted_since_scan = 5;
@@ -337,7 +336,7 @@ TEST(ChainCollapse, DeltaChainRestoresBitIdentically) {
 
   svc::LocalizationServer b(svc::ServerConfig{},
                             factory_for(campus_deployment()), nullptr);
-  ASSERT_TRUE(b.restore(collapsed.snapshot));
+  ASSERT_TRUE(b.restore(c.waves).ok);
   // The collapsed state IS the live state: both servers re-snapshot to
   // the same bytes and serve the same continuation.
   EXPECT_EQ(b.snapshot(), c.server->snapshot());
@@ -363,7 +362,7 @@ TEST(ChainCollapse, MembershipPrunesDepartedSessions) {
   ASSERT_TRUE(collapsed.ok);
   svc::LocalizationServer b(svc::ServerConfig{},
                             factory_for(campus_deployment()), nullptr);
-  ASSERT_TRUE(b.restore(collapsed.snapshot));
+  ASSERT_TRUE(b.restore(waves).ok);
   EXPECT_EQ(b.live_sessions(), 1u);
   EXPECT_EQ(b.snapshot(), server->snapshot());
 }
@@ -383,9 +382,13 @@ TEST(ChainCollapse, CorruptMiddleDeltaCutsTheChainLoudly) {
   EXPECT_EQ(cut.waves_rejected, 2u);
   EXPECT_EQ(cut.seq, 2u);
   // The fallback state is the honest prefix, not an interleaving.
-  const svc::ChainCollapse prefix = svc::collapse_chain(
-      {c.waves.begin(), c.waves.begin() + 2});
-  EXPECT_EQ(cut.snapshot, prefix.snapshot);
+  svc::LocalizationServer from_cut(svc::ServerConfig{},
+                                   factory_for(campus_deployment()), nullptr);
+  svc::LocalizationServer from_prefix(
+      svc::ServerConfig{}, factory_for(campus_deployment()), nullptr);
+  ASSERT_TRUE(from_cut.restore(corrupted).ok);
+  ASSERT_TRUE(from_prefix.restore({c.waves.begin(), c.waves.begin() + 2}).ok);
+  EXPECT_EQ(from_cut.snapshot(), from_prefix.snapshot());
 }
 
 TEST(ChainCollapse, TruncatedMiddleDeltaCutsTheChainLoudly) {
@@ -434,7 +437,7 @@ TEST(ChainCollapse, NewestValidKeyframeWins) {
   EXPECT_EQ(collapsed.deltas_applied, 0u);
   svc::LocalizationServer b(svc::ServerConfig{},
                             factory_for(campus_deployment()), nullptr);
-  ASSERT_TRUE(b.restore(collapsed.snapshot));
+  ASSERT_TRUE(b.restore(waves).ok);
   EXPECT_EQ(b.snapshot(), server->snapshot());
 }
 
@@ -503,14 +506,13 @@ TEST(PublishSequence, CrashAtEveryStepLeavesARecoverableChain) {
       // worst case (directory entry lost in the crash).
       std::filesystem::remove(dir.path + "/" + svc::wave_file_name(3));
     }
-    const svc::ChainCollapse collapsed =
-        svc::collapse_chain(svc::load_wave_files(dir.path));
-    ASSERT_TRUE(collapsed.ok) << step;
-    EXPECT_EQ(collapsed.seq, 2u) << step;
-    EXPECT_EQ(collapsed.waves_rejected, 0u) << step;
     svc::LocalizationServer b(svc::ServerConfig{},
                               factory_for(campus_deployment()), nullptr);
-    EXPECT_TRUE(b.restore(collapsed.snapshot)) << step;
+    const svc::LocalizationServer::ChainRestoreResult r =
+        b.restore(svc::load_wave_files(dir.path));
+    EXPECT_TRUE(r.ok) << step;
+    EXPECT_EQ(r.seq, 2u) << step;
+    EXPECT_EQ(r.waves_rejected, 0u) << step;
     // No half-written garbage lingers where a later scan would load it.
     for (const auto& entry :
          std::filesystem::directory_iterator(dir.path)) {
@@ -604,6 +606,40 @@ TEST(ServerChain, KeyframePrunesTheSupersededPrefix) {
       svc::collapse_chain(svc::load_wave_files(dir.path));
   ASSERT_TRUE(collapsed.ok);
   EXPECT_EQ(collapsed.waves_rejected, 0u);
+}
+
+TEST(ServerChain, RestartReanchorsAboveEveryWaveFileOnDisk) {
+  // Failed publishes left gaps in the seqs: waves 3 and 4 never reached
+  // the disk, delta 5 (parent 4) did. The first restart restores 1 + 2,
+  // rejects 5, takes a new session and re-anchors with a keyframe. That
+  // keyframe must outrank wave 5 so that its prune removes it; the
+  // second restart then restores exactly the first one's state.
+  LiveChain c = build_live_chain(4);  // keyframe 1, deltas 2..5
+  TempDir dir("server_stale");
+  for (const std::uint64_t seq : {1u, 2u, 5u}) {
+    ASSERT_TRUE(svc::write_wave_file(dir.path, seq, c.waves[seq - 1]));
+  }
+  svc::ServerConfig cfg;
+  cfg.checkpoint_dir = dir.path;
+  std::vector<std::uint8_t> expected;
+  {
+    svc::LocalizationServer a(cfg, factory_for(campus_deployment()), nullptr);
+    const svc::LocalizationServer::ChainRestoreResult r = a.restore_chain();
+    ASSERT_TRUE(r.ok);
+    EXPECT_EQ(r.deltas_applied, 1u);
+    EXPECT_EQ(r.waves_rejected, 1u);
+    a.submit(hello_frame(3, {1.0, 2.0}, 0.3)).get();
+    a.checkpoint_wave_now();
+    expected = a.snapshot();
+  }
+  EXPECT_EQ(svc::load_wave_files(dir.path).size(), 1u);
+  svc::LocalizationServer b(cfg, factory_for(campus_deployment()), nullptr);
+  const svc::LocalizationServer::ChainRestoreResult r = b.restore_chain();
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(r.deltas_applied, 0u);
+  EXPECT_EQ(r.waves_rejected, 0u);
+  EXPECT_EQ(b.live_sessions(), 3u);
+  EXPECT_EQ(b.snapshot(), expected);
 }
 
 TEST(ServerChain, GroupCommitterPathMatchesSynchronousPath) {
@@ -1253,7 +1289,7 @@ TEST(QuantizedChain, ServerWaveIsSmallerAndRequantizationStable) {
   const std::vector<std::uint8_t> wave = a->snapshot_wave(true);
   svc::WaveView v;
   ASSERT_TRUE(svc::decode_wave(wave, v));
-  EXPECT_EQ(v.header.payload_version, svc::kSnapshotVersionQuantized);
+  EXPECT_EQ(v.header.payload_version, svc::kPayloadQuantized);
 
   // The quantized wave must be dramatically smaller than the lossless
   // one (the acceptance criterion's 4x lives mostly in the particle
@@ -1264,13 +1300,12 @@ TEST(QuantizedChain, ServerWaveIsSmallerAndRequantizationStable) {
   const std::vector<std::uint8_t> lossless = plain->snapshot_wave(true);
   EXPECT_LT(wave.size(), lossless.size() * 2 / 3);
 
-  // Restore from the quantized chain, then re-wave: byte-stable.
-  const svc::ChainCollapse collapsed = svc::collapse_chain({wave});
-  ASSERT_TRUE(collapsed.ok);
+  // Restore from the quantized chain, then re-wave: byte-stable. Both
+  // next waves continue the sequence at seq 2.
   svc::LocalizationServer b(qcfg, factory_for(campus_deployment()), nullptr);
-  ASSERT_TRUE(b.restore(collapsed.snapshot));
+  ASSERT_TRUE(b.restore({wave}).ok);
   EXPECT_EQ(b.live_sessions(), 2u);
-  EXPECT_EQ(b.snapshot_wave(true), wave);
+  EXPECT_EQ(b.snapshot_wave(true), a->snapshot_wave(true));
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "filter/hmm.h"
 #include "filter/kalman1d.h"
 #include "filter/location_predictor.h"
 #include "filter/particle_filter.h"
@@ -126,90 +125,6 @@ TEST(ParticleFilter, StepScalePersonalization) {
   for (std::size_t i = 0; i < pf.size(); ++i) mean_scale += pf.step_scale(i);
   mean_scale /= static_cast<double>(pf.size());
   EXPECT_GT(mean_scale, 1.05);
-}
-
-// --------------------------------------------------------------------- hmm
-
-TEST(Hmm, UniformPriorSingleObservation) {
-  Hmm hmm(3, [](std::size_t, std::size_t) { return 1.0 / 3.0; });
-  hmm.step([](std::size_t j) { return j == 1 ? 1.0 : 0.0; });
-  EXPECT_EQ(hmm.map_state(), 1u);
-  EXPECT_NEAR(hmm.belief()[1], 1.0, 1e-12);
-}
-
-TEST(Hmm, TransitionPropagatesBelief) {
-  // Deterministic right-shift chain on 4 states.
-  Hmm hmm(4, [](std::size_t i, std::size_t j) {
-    return j == (i + 1) % 4 ? 1.0 : 0.0;
-  });
-  hmm.set_belief({1.0, 0.0, 0.0, 0.0});
-  hmm.step([](std::size_t) { return 1.0; });  // uninformative observation
-  EXPECT_EQ(hmm.map_state(), 1u);
-  hmm.step([](std::size_t) { return 1.0; });
-  EXPECT_EQ(hmm.map_state(), 2u);
-}
-
-TEST(Hmm, BeliefSumsToOne) {
-  Hmm hmm(5, [](std::size_t, std::size_t) { return 0.2; });
-  for (int t = 0; t < 10; ++t) {
-    hmm.step([t](std::size_t j) { return j == static_cast<std::size_t>(t % 5) ? 0.9 : 0.1; });
-    double sum = 0.0;
-    for (double b : hmm.belief()) sum += b;
-    EXPECT_NEAR(sum, 1.0, 1e-12);
-  }
-}
-
-TEST(Hmm, ZeroEmissionsResetUniform) {
-  Hmm hmm(3, [](std::size_t, std::size_t) { return 1.0 / 3.0; });
-  hmm.step([](std::size_t) { return 0.0; });
-  for (double b : hmm.belief()) EXPECT_NEAR(b, 1.0 / 3.0, 1e-12);
-}
-
-TEST(Hmm, ViterbiDecodesShiftChain) {
-  Hmm hmm(3, [](std::size_t i, std::size_t j) {
-    return j == (i + 1) % 3 ? 0.9 : 0.05;
-  });
-  std::vector<std::function<double(std::size_t)>> emissions;
-  // Observations consistent with path 0 -> 1 -> 2.
-  for (std::size_t truth : {0u, 1u, 2u}) {
-    emissions.emplace_back([truth](std::size_t j) {
-      return j == truth ? 0.8 : 0.1;
-    });
-  }
-  const std::vector<std::size_t> path =
-      hmm.viterbi(emissions, {1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0});
-  EXPECT_EQ(path, (std::vector<std::size_t>{0, 1, 2}));
-}
-
-TEST(SecondOrderHmm, MarginalSumsToOne) {
-  SecondOrderHmm hmm(4, [](std::size_t, std::size_t c, std::size_t n) {
-    return n == (c + 1) % 4 ? 0.8 : 0.2 / 3.0;
-  });
-  hmm.step([](std::size_t j) { return j == 2 ? 0.9 : 0.1; });
-  double sum = 0.0;
-  for (double m : hmm.marginal()) sum += m;
-  EXPECT_NEAR(sum, 1.0, 1e-12);
-  EXPECT_EQ(hmm.map_state(), 2u);
-}
-
-TEST(SecondOrderHmm, UsesSecondOrderContext) {
-  // Transition prefers continuing the direction implied by (prev, cur):
-  // if cur = prev + 1 it keeps going up; if cur = prev - 1 it goes down.
-  const std::size_t n = 5;
-  SecondOrderHmm hmm(n, [n](std::size_t p, std::size_t c, std::size_t x) {
-    const int dir = static_cast<int>(c) - static_cast<int>(p);
-    const int expected = static_cast<int>(c) + (dir >= 0 ? 1 : -1);
-    if (expected < 0 || expected >= static_cast<int>(n)) {
-      return x == c ? 1.0 : 0.0;
-    }
-    return x == static_cast<std::size_t>(expected) ? 0.9 : 0.025;
-  });
-  // Observe 1 then 2 (moving up), then give an uninformative observation:
-  // the belief should continue to 3.
-  hmm.step([](std::size_t j) { return j == 1 ? 1.0 : 1e-6; });
-  hmm.step([](std::size_t j) { return j == 2 ? 1.0 : 1e-6; });
-  hmm.step([](std::size_t) { return 1.0; });
-  EXPECT_EQ(hmm.map_state(), 3u);
 }
 
 // ------------------------------------------------------------------ kalman

@@ -24,7 +24,6 @@
 #include "obs/slo.h"
 #include "obs/span.h"
 #include "sim/virtual_clock.h"
-#include "svc/checkpoint.h"
 #include "svc/epoch_codec.h"
 #include "svc/loadgen.h"
 #include "svc/server.h"
