@@ -10,7 +10,9 @@
 //                         free here: workers == 0, every session idle)
 //   bytes_per_session     snapshot size divided by N (the per-phone
 //                         checkpoint footprint; dominated by the two
-//                         particle filters at ~600 doubles each). Each
+//                         particle filters: five 300-double arrays
+//                         each, plus each filter's 16-byte generator
+//                         field, its Philox key and block counter). Each
 //                         session costs its 28 B record header and its
 //                         8 B member id on top of the payload, and each
 //                         wave 43 B of fixed framing (header, the two

@@ -3,8 +3,8 @@
 // particle-filter update, posterior mixing. These are the numbers behind
 // Table V's "light-weight computation" claim -- everything UniLoc adds is
 // simple linear calculation. The checkpoint rows at the end price one
-// session's share of a delta wave layer by layer: engine draws, engine
-// snapshot/restore, the wave CRC, and a whole quantized session record.
+// session's share of a delta wave layer by layer: the wave CRC and a
+// whole quantized session record (plus the simulator's engine draws).
 #include <benchmark/benchmark.h>
 
 #include <random>
@@ -28,7 +28,6 @@
 #include "sim/floorplan.h"
 #include "stats/gaussian.h"
 #include "stats/regression.h"
-#include "stats/rng_codec.h"
 
 using namespace uniloc;
 
@@ -105,7 +104,7 @@ void BM_FingerprintMatchCached(benchmark::State& state) {
 BENCHMARK(BM_FingerprintMatchCached);
 
 void BM_ParticleFilterStep(benchmark::State& state) {
-  filter::ParticleFilter pf(300, stats::Rng(3));
+  filter::ParticleFilter pf(300, 3);
   filter::KernelScratch scratch;
   pf.init({10.0, 5.0}, 0.0, 1.0, 0.1, 0.05);
   for (auto _ : state) {
@@ -119,10 +118,11 @@ void BM_ParticleFilterStep(benchmark::State& state) {
 }
 BENCHMARK(BM_ParticleFilterStep);
 
-// One 300-particle predict on a warm scratch: the serial engine draws,
-// then the vector Box-Muller/turn/wrap pass and the sincos/position pass.
+// One 300-particle predict on a warm scratch: the vector pass that
+// computes each particle's Philox block, its Box-Muller pair, the turn
+// and the wrap, then the sincos/position pass.
 void BM_PfPredict(benchmark::State& state) {
-  filter::ParticleFilter pf(300, stats::Rng(3));
+  filter::ParticleFilter pf(300, 3);
   filter::KernelScratch scratch;
   pf.init({10.0, 5.0}, 0.0, 1.0, 0.1, 0.05);
   pf.predict(0.7, 0.01, 0.12, 0.035, scratch);  // warm the scratch
@@ -368,8 +368,9 @@ void BM_MapConstraint(benchmark::State& state) {
     for (std::size_t i = 0; i < cloud.size(); ++i) w.put_f64(0.0);  // heading
     for (std::size_t i = 0; i < cloud.size(); ++i) w.put_f64(1.0);  // scale
     for (const auto& p : cloud) w.put_f64(p.weight);
-    stats::snapshot_engine(stats::Mt19937_64(1), w);
-    filter::ParticleFilter pf(cloud.size(), stats::Rng(1));
+    w.put_u64(0);  // generator key
+    w.put_u64(0);  // block counter
+    filter::ParticleFilter pf(cloud.size(), 1);
     offload::ByteReader r(w.bytes());
     if (pf.restore_from(r)) clouds.push_back(std::move(pf));
   }
@@ -400,8 +401,8 @@ void BM_WallCrossingQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_WallCrossingQuery);
 
-// --- checkpoint layers: one dirty session's share of a delta wave -------
-
+// The simulator's engine draw: the standard library's against the
+// in-tree MT19937-64 (the same stream).
 template <typename Engine>
 void BM_EngineDraw(benchmark::State& state) {
   Engine engine(7);
@@ -410,36 +411,7 @@ void BM_EngineDraw(benchmark::State& state) {
 BENCHMARK_TEMPLATE(BM_EngineDraw, std::mt19937_64);
 BENCHMARK_TEMPLATE(BM_EngineDraw, stats::Mt19937_64);
 
-stats::Mt19937_64 mid_stream_engine() {
-  stats::Mt19937_64 engine(7);
-  for (int i = 0; i < 1000; ++i) engine();
-  return engine;
-}
-
-void BM_EngineSnapshot(benchmark::State& state) {
-  const stats::Mt19937_64 engine = mid_stream_engine();
-  for (auto _ : state) {
-    offload::ByteWriter w;
-    stats::snapshot_engine(engine, w);
-    benchmark::DoNotOptimize(w.bytes().data());
-    benchmark::ClobberMemory();
-  }
-}
-BENCHMARK(BM_EngineSnapshot);
-
-void BM_EngineRestore(benchmark::State& state) {
-  offload::ByteWriter w;
-  stats::snapshot_engine(mid_stream_engine(), w);
-  const std::vector<std::uint8_t> bytes = w.take();
-  stats::Mt19937_64 engine;
-  for (auto _ : state) {
-    offload::ByteReader r(bytes);
-    benchmark::DoNotOptimize(stats::restore_engine(engine, r));
-    benchmark::DoNotOptimize(engine.state.data());
-    benchmark::ClobberMemory();
-  }
-}
-BENCHMARK(BM_EngineRestore);
+// --- checkpoint layers: one dirty session's share of a delta wave -------
 
 void BM_Crc32(benchmark::State& state) {
   std::vector<std::uint8_t> bytes(static_cast<std::size_t>(state.range(0)));
@@ -451,8 +423,8 @@ void BM_Crc32(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-// 11388 B is one quantized campus session record.
-BENCHMARK(BM_Crc32)->Arg(11388);
+// 6404 B is one quantized campus session record.
+BENCHMARK(BM_Crc32)->Arg(6404);
 
 void BM_SessionSnapshotQuantized(benchmark::State& state) {
   // One warm campus session, serialized with the durable-wave codec the

@@ -172,13 +172,14 @@ if [[ "${ASAN:-1}" != "0" ]]; then
   # would hide.
   cmake --build "$ASAN_DIR" -j "$JOBS" --target test_delta
   ctest --test-dir "$ASAN_DIR" -L '^delta$' --output-on-failure -j "$JOBS"
-  # Engine-codec gate: every checkpoint record ends in two RNG engines
-  # copied word for word (stats/rng_codec.h) and every wave in a CRC --
-  # the byte-level hostile-input boundary under all of the above. The
-  # engine identity, codec compatibility/truncation and CRC tests rerun
-  # by name so a failure is greppable.
+  # Generator gate: every filter record ends in a 16-byte Philox
+  # generator field and every wave in a CRC -- the byte-level
+  # hostile-input boundary under all of the above. The Philox known
+  # answers, the generator-field truncation tests of both filter codecs,
+  # the simulator engine's identity and the CRC tests rerun by name so a
+  # failure is greppable.
   cmake --build "$ASAN_DIR" -j "$JOBS" --target test_stats
-  ctest --test-dir "$ASAN_DIR" -R 'RngCodec|Mt19937|Crc32' \
+  ctest --test-dir "$ASAN_DIR" -R 'Philox|Mt19937|Crc32' \
     --output-on-failure -j "$JOBS"
 fi
 

@@ -7,41 +7,50 @@
 
 #include "obs/metrics.h"
 #include "obs/timer.h"
-#include "stats/rng_codec.h"
+#include "stats/philox.h"
+#include "stats/rng.h"
 #include "stats/simd.h"
 #include "stats/vecmath.h"
 
 namespace uniloc::filter {
 
 ParticleFilter::ParticleFilter(std::size_t num_particles, std::uint64_t seed)
-    : ParticleFilter(num_particles, stats::Rng(seed)) {}
-
-ParticleFilter::ParticleFilter(std::size_t num_particles, stats::Rng rng)
     : px_(num_particles),
       py_(num_particles),
       heading_(num_particles),
       scale_(num_particles, 1.0),
-      weight_(num_particles, 1.0),
-      rng_(rng) {
+      weight_(num_particles, 1.0) {
   assert(num_particles > 0);
+  reseed(seed);
 }
 
-void ParticleFilter::reseed(std::uint64_t seed) { rng_ = stats::Rng(seed); }
+void ParticleFilter::reseed(std::uint64_t seed) {
+  key_ = stats::splitmix64(seed);
+  ctr_ = 0;
+}
 
 void ParticleFilter::init(geo::Vec2 pos, double heading, double pos_sd,
                           double heading_sd, double scale_sd) {
-  // One loop with interleaved draws: the (x, y, heading, scale) order per
-  // particle is the pinned RNG contract -- field-major loops would consume
-  // the stream in a different order and change every downstream trace.
+  // Two blocks per particle (the layout in the header). Box-Muller from
+  // det_normal_pair, not std::normal_distribution, whose algorithm is
+  // implementation-defined: the stream is the same on every standard
+  // library.
   const std::size_t n = px_.size();
   const double w = 1.0 / static_cast<double>(n);
   for (std::size_t i = 0; i < n; ++i) {
-    px_[i] = pos.x + rng_.normal(0.0, pos_sd);
-    py_[i] = pos.y + rng_.normal(0.0, pos_sd);
-    heading_[i] = geo::wrap_angle(heading + rng_.normal(0.0, heading_sd));
-    scale_[i] = std::max(0.5, 1.0 + rng_.normal(0.0, scale_sd));
+    std::uint64_t a, b;
+    double zx, zy, zh, zs;
+    stats::philox_block(key_, ctr_ + 2 * i, a, b);
+    stats::det_normal_pair(a, b, zx, zy);
+    stats::philox_block(key_, ctr_ + 2 * i + 1, a, b);
+    stats::det_normal_pair(a, b, zh, zs);
+    px_[i] = pos.x + pos_sd * zx;
+    py_[i] = pos.y + pos_sd * zy;
+    heading_[i] = geo::wrap_angle(heading + heading_sd * zh);
+    scale_[i] = std::max(0.5, 1.0 + scale_sd * zs);
     weight_[i] = w;
   }
+  ctr_ += 2 * n;
 }
 
 void ParticleFilter::attach_metrics(obs::MetricsRegistry* registry,
@@ -60,29 +69,19 @@ void ParticleFilter::predict(double step_len, double dheading,
                              KernelScratch& scratch) {
   obs::ScopedTimer timer(predict_us_);
   const std::size_t n = px_.size();
+  const std::uint64_t key = key_;
+  const std::uint64_t ctr = ctr_;
+  ctr_ += n;
 #if !defined(UNILOC_NO_SIMD)
   if (stats::simd_enabled()) {
-    // Stage two raw engine words per particle (serial: the engine stream
-    // order is the pinned RNG contract); every loop after that is a
-    // vector loop. std::normal_distribution is useless here twice over: a
-    // fresh distribution per draw runs the polar rejection loop from
-    // scratch (~2 engine words + log + sqrt per draw), and its algorithm
-    // is implementation-defined, so the stream would not reproduce across
-    // standard libraries. det_normal_pair is a pure elementwise function
-    // of the staged words -- the scalar fallback below computes the
-    // identical expressions in the identical order.
-    scratch.raw_a.resize(n);
-    scratch.raw_b.resize(n);
+    // Every loop is a vector loop. Each lane computes its particle's
+    // Philox block and turns it into two normals (det_normal_pair, a pure
+    // elementwise function of the block) -- the scalar fallback below
+    // computes the identical expressions in the identical order.
     scratch.turned.resize(n);
     scratch.stride.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      scratch.raw_a[i] = rng_.engine()();
-      scratch.raw_b[i] = rng_.engine()();
-    }
     constexpr double kPi = std::numbers::pi;
     constexpr double kTwoPi = 2.0 * std::numbers::pi;
-    const std::uint64_t* ra = scratch.raw_a.data();
-    const std::uint64_t* rb = scratch.raw_b.data();
     double* h = heading_.data();
     double* turned = scratch.turned.data();
     double* stride = scratch.stride.data();
@@ -94,8 +93,10 @@ void ParticleFilter::predict(double step_len, double dheading,
     int unwrapped = 0;
     UNILOC_PRAGMA_SIMD_REDUCTION(|, unwrapped)
     for (std::size_t i = 0; i < n; ++i) {
+      std::uint64_t ra, rb;
+      stats::philox_block(key, ctr + i, ra, rb);
       double z0, z1;
-      stats::det_normal_pair(ra[i], rb[i], z0, z1);
+      stats::det_normal_pair(ra, rb, z0, z1);
       const double a = h[i] + dheading + heading_sd * z0;
       double w = a > kPi ? a - kTwoPi : a;
       w = w <= -kPi ? w + kTwoPi : w;
@@ -123,11 +124,11 @@ void ParticleFilter::predict(double step_len, double dheading,
 #endif
   (void)scratch;  // the scalar path stages nothing
   for (std::size_t i = 0; i < n; ++i) {
-    // Same two engine words and the same det_normal_pair expressions as
-    // the staged vector path above -- the one scalar/vector contract the
-    // differential tier pins down to the bit.
-    const std::uint64_t a = rng_.engine()();
-    const std::uint64_t b = rng_.engine()();
+    // Same block and the same det_normal_pair expressions as the vector
+    // path above -- the one scalar/vector contract the differential tier
+    // pins down to the bit.
+    std::uint64_t a, b;
+    stats::philox_block(key, ctr + i, a, b);
     double z0, z1;
     stats::det_normal_pair(a, b, z0, z1);
     heading_[i] =
@@ -192,7 +193,9 @@ void ParticleFilter::resample(KernelScratch& scratch,
   std::vector<std::uint32_t>& pick = scratch.pick;
   pick.resize(count);
   const double step = 1.0 / n;
-  double u = rng_.uniform(0.0, step);
+  std::uint64_t a, b;
+  stats::philox_block(key_, ctr_++, a, b);
+  double u = stats::hash_to_unit(a) * step;
   double cum = weight_[0];
   std::size_t i = 0;
   for (std::size_t k = 0; k < count; ++k) {
@@ -260,7 +263,8 @@ void ParticleFilter::snapshot_into(offload::ByteWriter& w) const {
   put_array(heading_);
   put_array(scale_);
   put_array(weight_);
-  stats::snapshot_engine(rng_.engine(), w);
+  w.put_u64(key_);
+  w.put_u64(ctr_);
 }
 
 bool ParticleFilter::restore_from(offload::ByteReader& r) {
@@ -275,9 +279,10 @@ bool ParticleFilter::restore_from(offload::ByteReader& r) {
       if (!r.get_f64(arr[i])) return false;
     }
   }
-  // The engine is the last field, and restore_engine writes only on
-  // success, so nothing below can fail once the engine has changed.
-  if (!stats::restore_engine(rng_.engine(), r)) return false;
+  std::uint64_t key, ctr;
+  if (!r.get_u64(key) || !r.get_u64(ctr)) return false;
+  key_ = key;
+  ctr_ = ctr;
   px_ = std::move(arrays[0]);
   py_ = std::move(arrays[1]);
   heading_ = std::move(arrays[2]);
@@ -367,7 +372,8 @@ void ParticleFilter::snapshot_into_quantized(offload::ByteWriter& w,
     if (ratio > 1.0) ratio = 1.0;
     w.put_u16(static_cast<std::uint16_t>(std::lround(ratio * 65535.0)));
   }
-  stats::snapshot_engine(rng_.engine(), w);
+  w.put_u64(key_);
+  w.put_u64(ctr_);
 }
 
 bool ParticleFilter::restore_from_quantized(offload::ByteReader& r) {
@@ -412,7 +418,10 @@ bool ParticleFilter::restore_from_quantized(offload::ByteReader& r) {
     nw[i] = w_max > 0.0 ? (static_cast<double>(q) / 65535.0) * w_max
                         : 1.0 / static_cast<double>(n);
   }
-  if (!stats::restore_engine(rng_.engine(), r)) return false;  // last field
+  std::uint64_t key, ctr;
+  if (!r.get_u64(key) || !r.get_u64(ctr)) return false;
+  key_ = key;
+  ctr_ = ctr;
   px_ = std::move(nx);
   py_ = std::move(ny);
   heading_ = std::move(nh);
@@ -424,7 +433,6 @@ bool ParticleFilter::restore_from_quantized(offload::ByteReader& r) {
 std::size_t KernelScratch::bytes() const {
   return (gather.capacity() + turned.capacity() + stride.capacity()) *
              sizeof(double) +
-         (raw_a.capacity() + raw_b.capacity()) * sizeof(std::uint64_t) +
          pick.capacity() * sizeof(std::uint32_t);
 }
 

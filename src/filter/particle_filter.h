@@ -11,18 +11,27 @@
 // (predict, reweight, moments, resample) stream through cache lines
 // instead of striding over 40-byte Particle structs. Systematic
 // resampling is O(N). The filter holds only its state -- the five arrays
-// and the engine; predict() and resample() stage their working memory in
-// a caller-owned KernelScratch, so one scratch serves every filter a
+// and the generator; predict() and resample() stage their working memory
+// in a caller-owned KernelScratch, so one scratch serves every filter a
 // thread steps and a warm cycle performs no allocation.
 //
-// The RNG engine is owned by the filter (seeded at construction or via
-// reseed()); call sites never construct their own engines, so the random
-// stream is a pure function of (seed, call sequence) and storage-layout
-// refactors cannot silently change it. The draw order is part of the
-// filter's contract: init() draws (x, y, heading, scale) per particle,
-// predict() draws (heading, step) per particle, resample() draws one
-// uniform -- in particle-index order. The golden traces (tests/golden/)
-// pin this stream bit-for-bit.
+// The generator is Philox4x32-10 (stats/philox.h): a key, splitmix64 of
+// the seed, and a block counter -- 16 bytes. Every draw is a pure
+// function of (key, block index), so the random stream is a pure
+// function of (seed, call sequence). The block layout is the filter's
+// contract, with n the particle count and c the counter at entry:
+//
+//   init()      particle i takes blocks c + 2i and c + 2i + 1; the
+//               det_normal_pair of the first gives its x and y noise,
+//               that of the second its heading and scale noise. c += 2n.
+//   predict()   particle i takes block c + i; its det_normal_pair gives
+//               the heading and step noise. c += n.
+//   resample()  takes block c and draws u = (a >> 11) * 2^-53 * step
+//               from its first word. c += 1.
+//
+// Draws are addressed, not consumed in order, so the vector and scalar
+// paths compute each lane's block independently. The golden traces
+// (tests/golden/) pin this stream bit-for-bit.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +42,6 @@
 #include "geo/bbox.h"
 #include "geo/vec2.h"
 #include "offload/bytes.h"
-#include "stats/rng.h"
 
 namespace uniloc::obs {
 class Histogram;
@@ -61,9 +69,6 @@ struct Particle {
 struct KernelScratch {
   std::vector<std::uint32_t> pick;  ///< Resampling ancestor indices.
   std::vector<double> gather;       ///< Resampling gather staging.
-  /// Raw engine words staged by predict()'s vector path; the Box-Muller
-  /// transform consumes them elementwise (stats::det_normal_pair).
-  std::vector<std::uint64_t> raw_a, raw_b;
   /// predict()'s vector path: each particle's unwrapped heading (the
   /// input of the rare wrap_angle fallback) and its step length.
   std::vector<double> turned, stride;
@@ -74,11 +79,8 @@ struct KernelScratch {
 
 class ParticleFilter {
  public:
-  /// Preferred: the filter owns its engine, seeded here.
+  /// The filter owns its generator, seeded here.
   ParticleFilter(std::size_t num_particles, std::uint64_t seed);
-  /// Transitional: adopt a caller-built engine (same stream as seeding
-  /// the filter with whatever seeded `rng`).
-  ParticleFilter(std::size_t num_particles, stats::Rng rng);
 
   /// Restart the random stream as if freshly constructed with `seed`.
   /// Resetting a scheme reseeds instead of rebuilding the filter, so
@@ -170,13 +172,15 @@ class ParticleFilter {
     return {{px_[i], py_[i]}, heading_[i], scale_[i], weight_[i]};
   }
 
-  /// Snapshot codec: particle count, the five SoA arrays, and the RNG
-  /// engine state. Because every draw order is pinned (see the contract
-  /// above) and the engine is the filter's only hidden state, a restored
-  /// filter continues the random stream bit for bit.
+  /// Snapshot codec: particle count, the five SoA arrays, then the
+  /// generator as u64 key and u64 block counter (16 bytes). Because the
+  /// block layout is pinned (see the contract above) and the generator is
+  /// the filter's only hidden state, a restored filter continues the
+  /// random stream bit for bit.
   void snapshot_into(offload::ByteWriter& w) const;
-  /// Rejects (returns false, filter unchanged) on truncation, a particle
-  /// count that does not match this filter's, or a corrupt engine state.
+  /// Rejects (returns false, filter unchanged) on truncation or a
+  /// particle count that does not match this filter's. Every key and
+  /// counter value is a valid generator state.
   bool restore_from(offload::ByteReader& r);
 
   /// Quantized snapshot codec (wave payload version 2): positions as u16
@@ -184,17 +188,17 @@ class ParticleFilter {
   /// strayed particles stay on the grid), headings as u16 over (-pi, pi],
   /// step scales as u16 over [0.25, 4], weights as u16 relative to the
   /// cloud's max weight (the max restores exactly, so the cloud can never
-  /// dequantize to all-zero weights). The RNG engine is bit-exact -- only
-  /// the five SoA arrays are lossy, each value off by at most half a grid
-  /// step (DESIGN.md section 17 budgets the error). The codec is
-  /// *requantization-exact*: restore_from_quantized followed by
-  /// snapshot_into_quantized reproduces the identical bytes, so a delta
-  /// chain over quantized keyframes is byte-stable.
+  /// dequantize to all-zero weights). The 16-byte generator field is
+  /// bit-exact -- only the five SoA arrays are lossy, each value off by
+  /// at most half a grid step (DESIGN.md section 17 budgets the error).
+  /// The codec is *requantization-exact*: restore_from_quantized
+  /// followed by snapshot_into_quantized reproduces the identical bytes,
+  /// so a delta chain over quantized keyframes is byte-stable.
   void snapshot_into_quantized(offload::ByteWriter& w,
                                const geo::BBox& venue) const;
   /// Hostile-input safe like restore_from: rejects truncation, particle
-  /// count mismatch, non-finite grid parameters, and corrupt engine
-  /// state, leaving the filter unchanged.
+  /// count mismatch and non-finite grid parameters, leaving the filter
+  /// unchanged.
   bool restore_from_quantized(offload::ByteReader& r);
 
   /// Route predict()/resample() latencies into `registry` histograms
@@ -209,7 +213,10 @@ class ParticleFilter {
 
   // Structure-of-arrays particle storage, index-aligned.
   std::vector<double> px_, py_, heading_, scale_, weight_;
-  stats::Rng rng_;
+  /// Philox4x32-10 key (splitmix64 of the seed) and the next unused
+  /// block index.
+  std::uint64_t key_{0};
+  std::uint64_t ctr_{0};
   obs::Histogram* predict_us_{nullptr};
   obs::Histogram* resample_us_{nullptr};
 };

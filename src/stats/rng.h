@@ -31,12 +31,13 @@ constexpr double hash_to_unit(std::uint64_t h) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
-/// MT19937-64 with its state in plain members. [rand.eng.mers] fixes the
+/// MT19937-64, the simulator's engine. [rand.eng.mers] fixes the
 /// seeding, the twist and the tempering, so the stream is bit-identical
-/// to the standard library's mt19937_64, and `state` + `pos` are exactly
-/// the 313 words of that engine's textual representation. The snapshot
-/// codec (stats/rng_codec.h) copies them directly. A uniform random bit
-/// generator: the std distributions and std::shuffle accept it.
+/// to the standard library's mt19937_64; its branch-free one-pass twist
+/// draws faster (BM_EngineDraw). No checkpoint carries it: the particle
+/// filters draw from their own Philox state (stats/philox.h). A uniform
+/// random bit generator: the std distributions and std::shuffle accept
+/// it.
 class Mt19937_64 {
  public:
   using result_type = std::uint64_t;
@@ -57,16 +58,14 @@ class Mt19937_64 {
     return z ^ (z >> 43);
   }
 
-  friend bool operator==(const Mt19937_64&, const Mt19937_64&) = default;
+ private:
+  /// Regenerates all 312 words in one pass and rewinds pos.
+  void twist();
 
   /// Untempered state words; the next draw tempers state[pos].
   std::array<result_type, state_size> state;
   /// Read position in [0, state_size]; state_size means "twist first".
   std::uint64_t pos;
-
- private:
-  /// Regenerates all 312 words in one pass and rewinds pos.
-  void twist();
 };
 
 /// Seeded mersenne-twister engine wrapper with convenience draws.

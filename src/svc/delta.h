@@ -10,7 +10,9 @@
 // Each wave is one self-validating file:
 //
 //   u32  magic   'UCKW'
-//   u8   format version (1)
+//   u8   format version (2: filter records end in the 16-byte
+//        Philox generator field; format 1 carried 2,508-byte MT19937-64
+//        engine records and is rejected whole)
 //   u8   kind    (0 keyframe, 1 delta)
 //   u8   payload version (1 = lossless f64, 2 = quantized fixed-point)
 //   u64  seq          (monotonic wave number, strictly increasing)
@@ -45,7 +47,7 @@ namespace uniloc::svc {
 
 /// 'UCKW' little-endian ("Uniloc ChecKpoint Wave").
 inline constexpr std::uint32_t kWaveMagic = 0x574B4355u;
-inline constexpr std::uint8_t kWaveFormatVersion = 1;
+inline constexpr std::uint8_t kWaveFormatVersion = 2;
 inline constexpr std::uint8_t kWaveKeyframe = 0;
 inline constexpr std::uint8_t kWaveDelta = 1;
 

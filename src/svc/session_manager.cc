@@ -5,6 +5,17 @@
 
 namespace uniloc::svc {
 
+namespace {
+
+/// Index of `id` in a stripe's ids, or ids.size() when absent.
+std::size_t index_of(const std::vector<std::uint64_t>& ids,
+                     std::uint64_t id) {
+  return static_cast<std::size_t>(std::find(ids.begin(), ids.end(), id) -
+                                  ids.begin());
+}
+
+}  // namespace
+
 Session::Enqueue Session::enqueue(Task task, std::size_t capacity,
                                   std::uint64_t now_us) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -140,11 +151,10 @@ SessionPtr SessionManager::create(std::uint64_t id,
                                   std::uint64_t now_us) {
   Stripe& stripe = *stripes_[stripe_of(id)];
   std::lock_guard<std::mutex> lock(stripe.mu);
-  for (const SessionPtr& s : stripe.sessions) {
-    if (s->id() == id) return nullptr;
-  }
+  if (index_of(stripe.ids, id) != stripe.ids.size()) return nullptr;
   SessionPtr session = std::make_shared<Session>(id, std::move(uniloc));
   session->touch(now_us);  // fresh sessions are "active now" for the TTL
+  stripe.ids.push_back(id);
   stripe.sessions.push_back(session);
   return session;
 }
@@ -152,22 +162,19 @@ SessionPtr SessionManager::create(std::uint64_t id,
 SessionPtr SessionManager::find(std::uint64_t id) const {
   const Stripe& stripe = *stripes_[stripe_of(id)];
   std::lock_guard<std::mutex> lock(stripe.mu);
-  for (const SessionPtr& s : stripe.sessions) {
-    if (s->id() == id) return s;
-  }
-  return nullptr;
+  const std::size_t i = index_of(stripe.ids, id);
+  return i == stripe.ids.size() ? nullptr : stripe.sessions[i];
 }
 
 bool SessionManager::erase(std::uint64_t id) {
   Stripe& stripe = *stripes_[stripe_of(id)];
   std::lock_guard<std::mutex> lock(stripe.mu);
-  for (auto it = stripe.sessions.begin(); it != stripe.sessions.end(); ++it) {
-    if ((*it)->id() == id) {
-      stripe.sessions.erase(it);
-      return true;
-    }
-  }
-  return false;
+  const std::size_t i = index_of(stripe.ids, id);
+  if (i == stripe.ids.size()) return false;
+  stripe.ids.erase(stripe.ids.begin() + static_cast<std::ptrdiff_t>(i));
+  stripe.sessions.erase(stripe.sessions.begin() +
+                        static_cast<std::ptrdiff_t>(i));
+  return true;
 }
 
 std::size_t SessionManager::evict_idle(std::uint64_t now_us,
@@ -179,6 +186,9 @@ std::size_t SessionManager::evict_idle(std::uint64_t now_us,
       return s->idle() && now_us >= s->last_active_us() &&
              now_us - s->last_active_us() >= idle_ttl_us;
     });
+    // The sweep has just read every session: rebuild the ids from them.
+    stripe->ids.clear();
+    for (const SessionPtr& s : stripe->sessions) stripe->ids.push_back(s->id());
   }
   return evicted;
 }
@@ -207,6 +217,7 @@ std::vector<SessionPtr> SessionManager::all() const {
 void SessionManager::clear() {
   for (std::unique_ptr<Stripe>& stripe : stripes_) {
     std::lock_guard<std::mutex> lock(stripe->mu);
+    stripe->ids.clear();
     stripe->sessions.clear();
   }
 }

@@ -148,9 +148,13 @@ class SessionManager {
   std::size_t stripe_of(std::uint64_t id) const;
 
  private:
+  /// Small per-stripe population in two index-aligned vectors:
+  /// ids[i] == sessions[i]->id(). find/create/erase scan the contiguous
+  /// ids instead of dereferencing each separately allocated Session.
   struct Stripe {
     mutable std::mutex mu;
-    std::vector<SessionPtr> sessions;  ///< Small per-stripe population.
+    std::vector<std::uint64_t> ids;
+    std::vector<SessionPtr> sessions;
   };
 
   std::vector<std::unique_ptr<Stripe>> stripes_;

@@ -6,8 +6,8 @@
 // uninterrupted run. These tests hold it to that claim the same way the
 // worker differentials do -- bit-for-bit comparisons, never tolerances:
 //
-//   * codec round trips at every layer (RNG engine, particle filter,
-//     whole server) continue the random stream exactly;
+//   * codec round trips at every layer (particle filter with its
+//     generator state, whole server) continue the random stream exactly;
 //   * crash+restore every K rounds (K in {1, 7, 31}) on the campus
 //     deployment covering all eight paths, at workers 0 and 4, across a
 //     16-seed sweep, reproduces the uninterrupted timeline;
@@ -23,7 +23,6 @@
 #include <functional>
 #include <memory>
 #include <random>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -35,7 +34,6 @@
 #include "offload/bytes.h"
 #include "sim/builders.h"
 #include "sim/virtual_clock.h"
-#include "stats/rng_codec.h"
 #include "svc/delta.h"
 #include "svc/epoch_codec.h"
 #include "svc/loadgen.h"
@@ -100,111 +98,6 @@ void expect_identical_reports(const svc::LoadReport& ref,
 
 // ------------------------------------------------------------ codec units
 
-TEST(RngCodec, EngineRoundTripContinuesStreamExactly) {
-  stats::Mt19937_64 original(12345);
-  for (int i = 0; i < 1000; ++i) original();  // mid-stream position
-
-  offload::ByteWriter w;
-  stats::snapshot_engine(original, w);
-  const std::vector<std::uint8_t> bytes = w.take();
-
-  offload::ByteReader r(bytes.data(), bytes.size());
-  stats::Mt19937_64 restored;
-  ASSERT_TRUE(stats::restore_engine(restored, r));
-  EXPECT_EQ(r.remaining(), 0u);
-  for (int i = 0; i < 5000; ++i) {
-    ASSERT_EQ(original(), restored()) << "draw " << i;
-  }
-}
-
-TEST(RngCodec, RejectsWrongTokenCountAndHostilePosition) {
-  // Every rejected record must leave the engine as it was: the filters
-  // restore straight into their live engines.
-  constexpr std::size_t kState = stats::Mt19937_64::state_size;
-  const auto record = [](std::size_t count, std::uint64_t pos) {
-    offload::ByteWriter w;
-    w.put_u32(static_cast<std::uint32_t>(count));
-    for (std::size_t i = 0; i < kState; ++i) w.put_u64(i * 7 + 3);
-    w.put_u64(pos);
-    return w.take();
-  };
-  stats::Mt19937_64 engine(1);
-  for (int i = 0; i < 100; ++i) engine();
-  const stats::Mt19937_64 before = engine;
-  const auto expect_rejected = [&](const std::vector<std::uint8_t>& bytes,
-                                   std::size_t n, const std::string& what) {
-    offload::ByteReader r(bytes.data(), n);
-    EXPECT_FALSE(stats::restore_engine(engine, r)) << what;
-    EXPECT_TRUE(engine == before) << what << " changed the engine";
-  };
-  for (const std::size_t count : {kState, kState + 2}) {
-    const std::vector<std::uint8_t> bytes = record(count, 5);
-    expect_rejected(bytes, bytes.size(), "count " + std::to_string(count));
-  }
-  // A read position past the state array would make the engine index
-  // out of bounds on the next draw.
-  for (const std::uint64_t pos : {kState + 1, ~std::size_t{0}}) {
-    const std::vector<std::uint8_t> bytes = record(kState + 1, pos);
-    expect_rejected(bytes, bytes.size(), "position " + std::to_string(pos));
-  }
-  const std::vector<std::uint8_t> valid = record(kState + 1, kState);
-  for (std::size_t n = 0; n < valid.size(); ++n) {
-    expect_rejected(valid, n, "truncated to " + std::to_string(n));
-  }
-  // Position state_size is the engine's own "twist first" state.
-  offload::ByteReader r(valid.data(), valid.size());
-  ASSERT_TRUE(stats::restore_engine(engine, r));
-  EXPECT_EQ(engine.pos, kState);
-  EXPECT_EQ(engine.state[kState - 1], (kState - 1) * 7 + 3);
-}
-
-// The engine record as the iostream codec wrote it, kept as the
-// compatibility oracle: print a std::mt19937_64, re-encode each decimal
-// token as a u64 behind a u32 token count.
-std::vector<std::uint8_t> std_engine_record(const std::mt19937_64& engine) {
-  std::ostringstream os;
-  os << engine;
-  std::istringstream is(os.str());
-  std::vector<std::uint64_t> tokens;
-  for (std::uint64_t t; is >> t;) tokens.push_back(t);
-  offload::ByteWriter w;
-  w.put_u32(static_cast<std::uint32_t>(tokens.size()));
-  for (const std::uint64_t t : tokens) w.put_u64(t);
-  return w.take();
-}
-
-TEST(RngCodec, SnapshotBytesEqualTheStdEngineTextTokens) {
-  // Fresh (position 312), one draw in (position 1 after the first
-  // twist), and mid-stream positions across several twists.
-  for (const int draws : {0, 1, 311, 312, 313, 1000, 4097}) {
-    std::mt19937_64 oracle(77);
-    stats::Mt19937_64 engine(77);
-    for (int i = 0; i < draws; ++i) {
-      oracle();
-      engine();
-    }
-    offload::ByteWriter w;
-    stats::snapshot_engine(engine, w);
-    const std::vector<std::uint8_t> bytes = w.take();
-    EXPECT_EQ(bytes.size(), 2508u);
-    EXPECT_EQ(bytes, std_engine_record(oracle)) << draws << " draws";
-  }
-}
-
-TEST(RngCodec, StdEngineBytesRestoreAndContinueTheStdStream) {
-  // Checkpoint files written before the in-tree engine stay readable.
-  std::mt19937_64 oracle(2024);
-  for (int i = 0; i < 777; ++i) oracle();
-  const std::vector<std::uint8_t> bytes = std_engine_record(oracle);
-  offload::ByteReader r(bytes.data(), bytes.size());
-  stats::Mt19937_64 restored;
-  ASSERT_TRUE(stats::restore_engine(restored, r));
-  EXPECT_EQ(r.remaining(), 0u);
-  for (int i = 0; i < 5000; ++i) {
-    ASSERT_EQ(restored(), oracle()) << "draw " << i;
-  }
-}
-
 TEST(ParticleFilter, SnapshotRestoreContinuesFilterBitIdentically) {
   filter::ParticleFilter a(64, /*seed=*/5);
   filter::KernelScratch scratch;
@@ -254,6 +147,64 @@ TEST(ParticleFilter, RestoreRejectsCountMismatchWithoutTouchingState) {
   const filter::Particle after = b.particle(0);
   EXPECT_EQ(before.pos.x, after.pos.x);
   EXPECT_EQ(before.heading, after.heading);
+}
+
+// Each codec ends a filter record in its 16-byte generator field (u64
+// key, u64 block counter). A record cut anywhere inside that field must be
+// rejected and leave the filter exactly as it was, and the full record
+// must restore the generator: the restored filter draws what the source
+// would have drawn.
+TEST(PhiloxState, TruncatedGeneratorFieldIsRejectedByBothCodecs) {
+  filter::KernelScratch scratch;
+  filter::ParticleFilter source(48, /*seed=*/5);
+  source.init({3.0, 4.0}, 0.7, 0.8, 0.08, 0.07);
+  source.predict(0.7, 0.1, 0.12, 0.035, scratch);
+  const geo::BBox venue{{-10.0, -10.0}, {40.0, 30.0}};
+  for (const bool quantized : {false, true}) {
+    const auto snapshot = [&](const filter::ParticleFilter& f) {
+      offload::ByteWriter w;
+      if (quantized) {
+        f.snapshot_into_quantized(w, venue);
+      } else {
+        f.snapshot_into(w);
+      }
+      return w.take();
+    };
+    const auto restore = [&](filter::ParticleFilter& f,
+                             offload::ByteReader& r) {
+      return quantized ? f.restore_from_quantized(r) : f.restore_from(r);
+    };
+    const std::string codec = quantized ? "quantized" : "lossless";
+    const std::vector<std::uint8_t> bytes = snapshot(source);
+    ASSERT_GT(bytes.size(), 16u);
+
+    // The lossless record is the filter's whole state, bit for bit.
+    const auto state = [](const filter::ParticleFilter& f) {
+      offload::ByteWriter w;
+      f.snapshot_into(w);
+      return w.take();
+    };
+    filter::ParticleFilter target(48, /*seed=*/999);
+    target.init({-9.0, 9.0}, -1.0, 0.5, 0.05, 0.05);
+    const std::vector<std::uint8_t> before = state(target);
+    for (std::size_t cut = bytes.size() - 16; cut < bytes.size(); ++cut) {
+      offload::ByteReader r(bytes.data(), cut);
+      EXPECT_FALSE(restore(target, r)) << codec << " cut at " << cut;
+      EXPECT_EQ(state(target), before) << codec << " cut at " << cut;
+    }
+
+    offload::ByteReader r(bytes.data(), bytes.size());
+    ASSERT_TRUE(restore(target, r)) << codec;
+    EXPECT_EQ(r.remaining(), 0u) << codec;
+    EXPECT_EQ(snapshot(target), bytes) << codec;
+    // Same generator: one more predict from equal clouds stays equal.
+    filter::ParticleFilter twin(48, /*seed=*/1);
+    offload::ByteReader r2(bytes.data(), bytes.size());
+    ASSERT_TRUE(restore(twin, r2)) << codec;
+    target.predict(0.7, -0.2, 0.12, 0.035, scratch);
+    twin.predict(0.7, -0.2, 0.12, 0.035, scratch);
+    EXPECT_EQ(state(target), state(twin)) << codec;
+  }
 }
 
 // --------------------------------------------------------- server snapshot
@@ -485,10 +436,10 @@ TEST(ServerSnapshot, BitFlipsNeverCrashTheRestorer) {
                             factory_for(campus_deployment()), nullptr);
 
   // A flipped payload bit, re-sealed behind a valid CRC, may land in a
-  // particle coordinate (restore succeeds with a different cloud --
-  // benign) or in a length, scheme name or engine position (restore
-  // must reject). Either way: no crash, no UB, and a rejection leaves
-  // no session behind.
+  // particle coordinate or a generator field (restore succeeds with a
+  // different cloud or stream -- benign) or in a length or scheme name
+  // (restore must reject). Either way: no crash, no UB, and a rejection
+  // leaves no session behind.
   std::mt19937_64 rng(7);
   for (std::size_t trial = 0; trial < 1500; ++trial) {
     const std::size_t target = rng() % v.records.size();

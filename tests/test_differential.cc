@@ -34,7 +34,6 @@
 #include "sim/builders.h"
 #include "sim/walker.h"
 #include "stats/rng.h"
-#include "stats/rng_codec.h"
 #include "stats/simd.h"
 #include "stats/vecmath.h"
 #include "svc/loadgen.h"
@@ -143,7 +142,8 @@ filter::ParticleFilter planted_filter(const std::vector<geo::Vec2>& pts) {
   for (std::size_t i = 0; i < n; ++i) {
     w.put_f64(1.0 + static_cast<double>(i % 7) / 7.0);
   }
-  stats::snapshot_engine(stats::Mt19937_64(1), w);
+  w.put_u64(0);  // generator key
+  w.put_u64(0);  // block counter
   filter::ParticleFilter f(n, /*seed=*/1);
   offload::ByteReader r(w.bytes());
   EXPECT_TRUE(f.restore_from(r));

@@ -5,6 +5,7 @@
 #include "filter/kalman1d.h"
 #include "filter/location_predictor.h"
 #include "filter/particle_filter.h"
+#include "stats/rng.h"
 
 namespace uniloc::filter {
 namespace {
@@ -12,7 +13,7 @@ namespace {
 // ---------------------------------------------------------------- particles
 
 TEST(ParticleFilter, InitClustersAroundStart) {
-  ParticleFilter pf(500, stats::Rng(1));
+  ParticleFilter pf(500, 1);
   pf.init({10.0, 20.0}, 0.5, 1.0, 0.1, 0.05);
   const geo::Vec2 m = pf.mean();
   EXPECT_NEAR(m.x, 10.0, 0.3);
@@ -22,7 +23,7 @@ TEST(ParticleFilter, InitClustersAroundStart) {
 }
 
 TEST(ParticleFilter, PredictMovesCloudAlongHeading) {
-  ParticleFilter pf(500, stats::Rng(2));
+  ParticleFilter pf(500, 2);
   KernelScratch scratch;
   pf.init({0.0, 0.0}, 0.0, 0.1, 0.01, 0.0);
   for (int i = 0; i < 10; ++i) pf.predict(1.0, 0.0, 0.01, 0.005, scratch);
@@ -32,7 +33,7 @@ TEST(ParticleFilter, PredictMovesCloudAlongHeading) {
 }
 
 TEST(ParticleFilter, PredictTurns) {
-  ParticleFilter pf(500, stats::Rng(3));
+  ParticleFilter pf(500, 3);
   KernelScratch scratch;
   pf.init({0.0, 0.0}, 0.0, 0.01, 0.001, 0.0);
   // Quarter turn over 10 steps, then walk straight up.
@@ -46,7 +47,7 @@ TEST(ParticleFilter, PredictTurns) {
 }
 
 TEST(ParticleFilter, ReweightShiftsMean) {
-  ParticleFilter pf(2000, stats::Rng(4));
+  ParticleFilter pf(2000, 4);
   pf.init({0.0, 0.0}, 0.0, 5.0, 0.1, 0.0);
   // Favor particles on the +x side.
   pf.reweight([](const Particle& p) { return p.pos.x > 0.0 ? 1.0 : 0.01; });
@@ -54,7 +55,7 @@ TEST(ParticleFilter, ReweightShiftsMean) {
 }
 
 TEST(ParticleFilter, ZeroLikelihoodEverywhereResetsUniform) {
-  ParticleFilter pf(100, stats::Rng(5));
+  ParticleFilter pf(100, 5);
   pf.init({0.0, 0.0}, 0.0, 1.0, 0.1, 0.0);
   pf.reweight([](const Particle&) { return 0.0; });
   // Weights reset to uniform rather than NaN.
@@ -64,7 +65,7 @@ TEST(ParticleFilter, ZeroLikelihoodEverywhereResetsUniform) {
 }
 
 TEST(ParticleFilter, EffectiveSampleSize) {
-  ParticleFilter pf(100, stats::Rng(6));
+  ParticleFilter pf(100, 6);
   pf.init({0.0, 0.0}, 0.0, 1.0, 0.1, 0.0);
   EXPECT_NEAR(pf.effective_sample_size(), 100.0, 1e-6);
   // Concentrate all weight in one particle.
@@ -78,7 +79,7 @@ TEST(ParticleFilter, EffectiveSampleSize) {
 }
 
 TEST(ParticleFilter, ResampleRestoresEss) {
-  ParticleFilter pf(200, stats::Rng(7));
+  ParticleFilter pf(200, 7);
   pf.init({0.0, 0.0}, 0.0, 1.0, 0.1, 0.0);
   pf.reweight([](const Particle& p) {
     return std::exp(-p.pos.norm2());  // sharply peaked
@@ -90,7 +91,7 @@ TEST(ParticleFilter, ResampleRestoresEss) {
 }
 
 TEST(ParticleFilter, ResampleSkipsWhenEssHigh) {
-  ParticleFilter pf(100, stats::Rng(8));
+  ParticleFilter pf(100, 8);
   pf.init({0.0, 0.0}, 0.0, 1.0, 0.1, 0.0);
   const geo::Vec2 before = pf.pos(0);
   KernelScratch scratch;
@@ -99,7 +100,7 @@ TEST(ParticleFilter, ResampleSkipsWhenEssHigh) {
 }
 
 TEST(ParticleFilter, ResamplePreservesMean) {
-  ParticleFilter pf(3000, stats::Rng(9));
+  ParticleFilter pf(3000, 9);
   pf.init({5.0, -2.0}, 0.0, 2.0, 0.1, 0.0);
   pf.reweight([](const Particle& p) {
     return std::exp(-0.1 * p.pos.norm2());
@@ -113,7 +114,7 @@ TEST(ParticleFilter, ResamplePreservesMean) {
 }
 
 TEST(ParticleFilter, StepScalePersonalization) {
-  ParticleFilter pf(2000, stats::Rng(10));
+  ParticleFilter pf(2000, 10);
   KernelScratch scratch;
   pf.init({0.0, 0.0}, 0.0, 0.01, 0.001, 0.2);
   // Particles with larger step_scale end up further along x; selecting for

@@ -6,9 +6,8 @@
 //      new/delete with a counting hook; after a warmup walk segment has
 //      grown every scratch buffer to steady capacity, one call of
 //      Uniloc::update_fast must perform ZERO heap allocations -- same for
-//      a steady-state ParticleFilter predict/reweight/resample cycle and
-//      for decoding an RNG engine from a checkpoint record. The hook is
-//      compiled out under ASan/TSan/MSan (the sanitizer runtimes
+//      a steady-state ParticleFilter predict/reweight/resample cycle. The
+//      hook is compiled out under ASan/TSan/MSan (the sanitizer runtimes
 //      own the allocator there); those configurations skip the counting
 //      tests and keep the cache-semantics tests.
 //
@@ -46,7 +45,6 @@
 #include "schemes/scheme.h"
 #include "sim/builders.h"
 #include "sim/walker.h"
-#include "stats/rng_codec.h"
 #include "stats/simd.h"
 #include "svc/session_manager.h"
 #include "svc/thread_pool.h"
@@ -245,26 +243,6 @@ TEST(PerfContracts, ParticleFilterCycleIsAllocationFreeInSteadyState) {
   const std::uint64_t allocs = end_counting();
   EXPECT_EQ(allocs, 0u);
   EXPECT_GT(scratch.bytes(), 0u);
-}
-
-TEST(PerfContracts, RestoreEngineAllocatesNothing) {
-  // Every restore decodes two engines per session record, on the thread
-  // that restores the chain. The codec copies the state words out of the
-  // reader's buffer: no text round trip, no heap.
-  stats::Mt19937_64 source(21);
-  for (int i = 0; i < 500; ++i) source();
-  offload::ByteWriter w;
-  stats::snapshot_engine(source, w);
-  const std::vector<std::uint8_t> bytes = w.take();
-  stats::Mt19937_64 engine;
-
-  begin_counting();
-  offload::ByteReader r(bytes);
-  const bool restored = stats::restore_engine(engine, r);
-  const std::uint64_t allocs = end_counting();
-  ASSERT_TRUE(restored);
-  EXPECT_EQ(allocs, 0u);
-  EXPECT_TRUE(engine == source);
 }
 
 #else  // !UNILOC_ALLOC_COUNTING

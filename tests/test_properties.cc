@@ -103,7 +103,7 @@ class PfConvergence : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(PfConvergence, TracksStraightWalkUnderObservations) {
   // Property: with periodic position observations, the cloud mean stays
   // within a few meters of the truth for any seed.
-  filter::ParticleFilter pf(400, stats::Rng(GetParam()));
+  filter::ParticleFilter pf(400, GetParam());
   filter::KernelScratch scratch;
   pf.init({0.0, 0.0}, 0.0, 0.5, 0.05, 0.05);
   geo::Vec2 truth{0.0, 0.0};
@@ -121,7 +121,7 @@ TEST_P(PfConvergence, TracksStraightWalkUnderObservations) {
 }
 
 TEST_P(PfConvergence, WeightsAlwaysNormalizable) {
-  filter::ParticleFilter pf(100, stats::Rng(GetParam() + 7));
+  filter::ParticleFilter pf(100, GetParam() + 7);
   filter::KernelScratch scratch;
   pf.init({0.0, 0.0}, 0.0, 1.0, 0.1, 0.0);
   stats::Rng rng(GetParam());

@@ -166,9 +166,16 @@ TEST(DetSincos, EdgeCases) {
 
 // ----------------------------------------------------- particle predict
 
+/// The filter's whole state, generator included: its lossless record.
+std::vector<std::uint8_t> filter_state(const filter::ParticleFilter& f) {
+  offload::ByteWriter w;
+  f.snapshot_into(w);
+  return w.take();
+}
+
 // Two filters, same seed, same call sequence -- one vectorized, one on
 // the scalar fallback. The predict contract says the SoA state stays bit
-// identical (same RNG stream, same det_sincos, same expression order).
+// identical (same Philox blocks, same det_sincos, same expression order).
 TEST(PredictKernel, VectorEqualsScalarAtEveryTailSize) {
   for (const std::size_t n : kTailSizes) {
     filter::ParticleFilter vec(n, /*seed=*/77);
@@ -193,6 +200,39 @@ TEST(PredictKernel, VectorEqualsScalarAtEveryTailSize) {
       EXPECT_EQ(vec.pos(i).y, ref.pos(i).y) << "n=" << n << " i=" << i;
       EXPECT_EQ(vec.heading(i), ref.heading(i)) << "n=" << n << " i=" << i;
     }
+    EXPECT_EQ(filter_state(vec), filter_state(ref)) << "n=" << n;
+  }
+}
+
+// Each lane splits its block index into the counter words lo32 and
+// hi32. Start the counter just below 2^32 so the lanes of one predict
+// straddle the carry into the high word, at every tail size.
+TEST(PredictKernel, VectorEqualsScalarAcrossTheCounterCarry) {
+  for (const std::size_t n : kTailSizes) {
+    filter::ParticleFilter seeded(n, /*seed=*/13);
+    seeded.init({1.0, -2.0}, 0.4, 1.0, 0.3, 0.05);
+    std::vector<std::uint8_t> bytes = filter_state(seeded);
+    const std::uint64_t ctr = (std::uint64_t{1} << 32) - 2;
+    for (std::size_t b = 0; b < 8; ++b) {
+      bytes[bytes.size() - 8 + b] = static_cast<std::uint8_t>(ctr >> (8 * b));
+    }
+    filter::ParticleFilter vec(n, /*seed=*/0);
+    filter::ParticleFilter ref(n, /*seed=*/0);
+    offload::ByteReader rv(bytes), rr(bytes);
+    ASSERT_TRUE(vec.restore_from(rv));
+    ASSERT_TRUE(ref.restore_from(rr));
+    filter::KernelScratch scratch;
+    for (int step = 0; step < 3; ++step) {
+      {
+        const stats::ScopedSimd on(true);
+        vec.predict(0.7, 0.2, 0.07, 0.12, scratch);
+      }
+      {
+        const stats::ScopedSimd off(false);
+        ref.predict(0.7, 0.2, 0.07, 0.12, scratch);
+      }
+    }
+    EXPECT_EQ(filter_state(vec), filter_state(ref)) << "n=" << n;
   }
 }
 

@@ -11,6 +11,7 @@
 #include "stats/descriptive.h"
 #include "stats/ecdf.h"
 #include "stats/gaussian.h"
+#include "stats/philox.h"
 #include "stats/rng.h"
 #include "stats/special.h"
 #include "stats/vecmath.h"
@@ -206,9 +207,9 @@ TEST(Rng, SplitmixAvalanche) {
 
 // --- the in-tree MT19937-64 against std::mt19937_64 --------------------
 //
-// std::mt19937_64 is the test-only oracle: checkpoints, goldens and every
-// seeded stream in the tree were made with it, so the in-tree engine must
-// reproduce its stream word for word.
+// std::mt19937_64 is the test-only oracle: the simulator's seeded streams
+// (every walk input behind the goldens) were made with it, so the
+// in-tree engine must reproduce its stream word for word.
 
 std::vector<std::uint64_t> identity_seeds() {
   std::vector<std::uint64_t> seeds = {0u, 1u, 5489u, std::uint64_t{1} << 32,
@@ -241,6 +242,56 @@ TEST(U53ToDouble, EqualsTheCastOnEdgeAndRandomWords) {
     const std::uint64_t w = engine();
     ASSERT_TRUE(same_as_cast(w >> 11)) << w;
     ASSERT_TRUE(same_as_cast((w >> 11) + 1)) << w;
+  }
+}
+
+// --- Philox4x32-10, the particle filters' generator --------------------
+
+TEST(Philox, KnownAnswersFromRandom123) {
+  // Random123's kat_vectors for philox4x32 with 10 rounds: counter words,
+  // then key words, then the expected output words.
+  struct Kat {
+    std::uint64_t ctr[4];
+    std::uint64_t key[2];
+    std::uint64_t out[4];
+  };
+  const Kat kats[] = {
+      {{0, 0, 0, 0}, {0, 0}, {0x6627e8d5, 0xe169c58d, 0xbc57ac4c, 0x9b00dbd8}},
+      {{0xffffffff, 0xffffffff, 0xffffffff, 0xffffffff},
+       {0xffffffff, 0xffffffff},
+       {0x408f276d, 0x41c83b0e, 0xa20bc7c6, 0x6d5451fd}},
+      {{0x243f6a88, 0x85a308d3, 0x13198a2e, 0x03707344},
+       {0xa4093822, 0x299f31d0},
+       {0xd16cfe09, 0x94fdcceb, 0x5001e420, 0x24126ea1}},
+  };
+  for (const Kat& k : kats) {
+    std::uint64_t w[4] = {k.ctr[0], k.ctr[1], k.ctr[2], k.ctr[3]};
+    philox4x32_10(w[0], w[1], w[2], w[3], k.key[0], k.key[1]);
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(w[i], k.out[i]) << std::hex << "ctr " << k.ctr[0] << " word "
+                                << i;
+    }
+  }
+}
+
+TEST(Philox, BlockPacksCounterKeyAndOutputWords) {
+  // Block n under key: counter words (lo32 n, hi32 n, 0, 0), key words
+  // (lo32 key, hi32 key), draws a = w1:w0 and b = w3:w2.
+  std::uint64_t a = 0, b = 0;
+  philox_block(0, 0, a, b);
+  EXPECT_EQ(a, 0xe169c58d6627e8d5ull);
+  EXPECT_EQ(b, 0x9b00dbd8bc57ac4cull);
+  const std::uint64_t keys[] = {0, splitmix64(7), ~std::uint64_t{0}};
+  const std::uint64_t blocks[] = {0, 1, 0xfffffffeull, 0xffffffffull,
+                                  0x100000000ull, ~std::uint64_t{0}};
+  for (const std::uint64_t key : keys) {
+    for (const std::uint64_t n : blocks) {
+      std::uint64_t w[4] = {n & 0xffffffffull, n >> 32, 0, 0};
+      philox4x32_10(w[0], w[1], w[2], w[3], key & 0xffffffffull, key >> 32);
+      philox_block(key, n, a, b);
+      EXPECT_EQ(a, w[1] << 32 | w[0]) << key << " block " << n;
+      EXPECT_EQ(b, w[3] << 32 | w[2]) << key << " block " << n;
+    }
   }
 }
 

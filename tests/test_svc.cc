@@ -163,6 +163,37 @@ TEST(SessionManager, CreateFindErase) {
   EXPECT_EQ(mgr.size(), 39u);
 }
 
+TEST(SessionManager, IdIndexStaysAlignedThroughEraseAndEviction) {
+  // Each stripe keeps its ids next to its sessions. Erase and eviction
+  // remove from the middle of a stripe; every later lookup must still
+  // land on the session with that id, and all() stays id-ascending.
+  SessionManager mgr(2);
+  SessionPtr busy;
+  for (std::uint64_t id = 1; id <= 60; ++id) {
+    SessionPtr s = mgr.create(id, nullptr, id % 3 == 0 ? 9000 : 1000);
+    if (id == 7) busy = s;  // stale but busy: spared
+  }
+  ASSERT_EQ(busy->enqueue([] {}, 8, 1000), Session::Enqueue::kStartDrain);
+  ASSERT_TRUE(mgr.erase(4));
+  ASSERT_TRUE(mgr.erase(30));
+  const auto live = [](std::uint64_t id) {
+    return id != 4 && id != 30 && (id % 3 == 0 || id == 7);
+  };
+  EXPECT_EQ(mgr.evict_idle(/*now_us=*/10'000, /*idle_ttl_us=*/5000), 38u);
+  std::vector<std::uint64_t> expected;
+  for (std::uint64_t id = 1; id <= 60; ++id) {
+    const SessionPtr s = mgr.find(id);
+    EXPECT_EQ(s != nullptr, live(id)) << id;
+    if (s == nullptr) continue;
+    EXPECT_EQ(s->id(), id);
+    expected.push_back(id);
+  }
+  std::vector<std::uint64_t> ids;
+  for (const SessionPtr& s : mgr.all()) ids.push_back(s->id());
+  EXPECT_EQ(ids, expected);
+  busy->drain();
+}
+
 TEST(SessionManager, SequentialIdsSpreadAcrossStripes) {
   SessionManager mgr(8);
   std::set<std::size_t> used;
